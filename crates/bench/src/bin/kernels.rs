@@ -1,5 +1,7 @@
 //! Wall-clock micro-bench of the `otif_nn::kernels` layer: naive
-//! reference loops vs the im2col/GEMM and blocked-matmul fast paths.
+//! reference loops vs the im2col/GEMM and blocked-matmul fast paths,
+//! plus the frame renderer that feeds them (`Renderer::render_region`
+//! vs its per-pixel `render_region_naive` reference).
 //!
 //! Unlike every other bench binary, this one reports **wall-clock
 //! seconds on the current machine** — the kernels are a real-CPU
@@ -18,12 +20,14 @@
 //! `results/BENCH_kernels.json` produced by the full mode.
 
 use otif_bench::report::{print_table, write_json};
-use otif_core::{SegProxyModel, WindowNet};
+use otif_core::proxy::proxy_input_dims;
+use otif_core::{SegProxyModel, WindowNet, PROXY_SCALES};
 use otif_cv::{DetectorArch, DetectorConfig};
 use otif_nn::kernels::{matmul_blocked, matmul_naive};
 use otif_nn::{BatchTensor3, KernelPath, Tensor3};
-use otif_sim::GrayImage;
+use otif_sim::{Clip, DatasetKind, GrayImage, Renderer};
 use serde::Serialize;
+use std::sync::Arc;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -61,11 +65,24 @@ struct BatchedBench {
 }
 
 #[derive(Serialize)]
+struct RenderBench {
+    shape: String,
+    out_w: usize,
+    out_h: usize,
+    frames: usize,
+    reps: usize,
+    naive_us_per_render: f64,
+    fast_us_per_render: f64,
+    speedup_fast_over_naive: f64,
+}
+
+#[derive(Serialize)]
 struct KernelsReport {
     mode: String,
     proxy: ProxyBench,
     matmul: Vec<MatmulBench>,
     batched_vs_looped: Vec<BatchedBench>,
+    render: Vec<RenderBench>,
 }
 
 /// Best-of-3 timing of `reps` calls to `f`, in seconds per call.
@@ -257,6 +274,55 @@ fn bench_windownet_batched(window: (u32, u32), batch: usize, reps: usize) -> Bat
     }
 }
 
+/// Fast vs per-pixel rendering of one native region of a Warsaw clip
+/// at `out_w × out_h`, over `frames` frames per rep. Bitwise-gated on
+/// every frame before timing.
+fn bench_render(
+    clip: &Clip,
+    shape: &str,
+    region: (f32, f32, f32, f32),
+    out_w: usize,
+    out_h: usize,
+    frames: usize,
+    reps: usize,
+) -> RenderBench {
+    let r = Renderer::new(clip);
+    let (rx, ry, rw, rh) = region;
+    for f in 0..frames {
+        let fast = r.render_region(f, rx, ry, rw, rh, out_w, out_h);
+        let naive = r.render_region_naive(f, rx, ry, rw, rh, out_w, out_h);
+        assert!(
+            fast.data.len() == naive.data.len()
+                && fast
+                    .data
+                    .iter()
+                    .zip(&naive.data)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "render_region diverged from the per-pixel reference ({shape}, frame {f})"
+        );
+    }
+    let naive = time_per_call(reps, || {
+        for f in 0..frames {
+            std::hint::black_box(r.render_region_naive(f, rx, ry, rw, rh, out_w, out_h));
+        }
+    }) / frames as f64;
+    let fast = time_per_call(reps, || {
+        for f in 0..frames {
+            std::hint::black_box(r.render_region(f, rx, ry, rw, rh, out_w, out_h));
+        }
+    }) / frames as f64;
+    RenderBench {
+        shape: shape.to_string(),
+        out_w,
+        out_h,
+        frames,
+        reps,
+        naive_us_per_render: naive * 1e6,
+        fast_us_per_render: fast * 1e6,
+        speedup_fast_over_naive: naive / fast,
+    }
+}
+
 fn main() {
     let smoke = matches!(std::env::args().nth(1).as_deref(), Some("tiny"));
     let (report_name, mode, proxy, matmul_shapes, reps) = if smoke {
@@ -308,6 +374,43 @@ fn main() {
     for &batch in &[1usize, 2, 4, 8, 16] {
         batched_vs_looped.push(bench_windownet_batched(yolo_window, batch, batched_reps));
     }
+
+    // Renderer: Warsaw's full frame at its 0.375 proxy input (the
+    // ingest-proxy scoring shape) and two detector-window crops at
+    // fractional native origins, resampled to 32×32 and 96×64.
+    let (render_frames, render_reps) = if smoke { (2, 3) } else { (20, 20) };
+    let warsaw = Clip::simulate(Arc::new(DatasetKind::Warsaw.scene()), 0, 2.0, 7);
+    let (fw, fh) = (warsaw.scene.width as f32, warsaw.scene.height as f32);
+    let (pw, ph) = proxy_input_dims(fw as usize, fh as usize, PROXY_SCALES[3]);
+    let render = vec![
+        bench_render(
+            &warsaw,
+            "warsaw-frame-0.375",
+            (0.0, 0.0, fw, fh),
+            pw,
+            ph,
+            render_frames,
+            render_reps,
+        ),
+        bench_render(
+            &warsaw,
+            "window-32x32",
+            (201.3, 117.6, 64.0, 64.0),
+            32,
+            32,
+            render_frames,
+            render_reps * 10,
+        ),
+        bench_render(
+            &warsaw,
+            "window-96x64",
+            (333.7, 150.2, 192.0, 128.0),
+            96,
+            64,
+            render_frames,
+            render_reps * 10,
+        ),
+    ];
 
     print_table(
         "Proxy forward pass — naive vs GEMM kernel path (wall clock)",
@@ -364,6 +467,24 @@ fn main() {
         &rows,
     );
 
+    let rows: Vec<Vec<String>> = render
+        .iter()
+        .map(|b| {
+            vec![
+                b.shape.clone(),
+                format!("{}x{}", b.out_w, b.out_h),
+                format!("{:.1}", b.naive_us_per_render),
+                format!("{:.1}", b.fast_us_per_render),
+                format!("{:.2}x", b.speedup_fast_over_naive),
+            ]
+        })
+        .collect();
+    print_table(
+        "Renderer — per-pixel reference vs block-hash path (wall clock, bit-identical)",
+        &["shape", "output", "naive us", "fast us", "speedup"],
+        &rows,
+    );
+
     if !smoke {
         // Regression guard for the tentpole claim (the recorded full
         // runs show >3x; 1.5x allows for noisy shared machines).
@@ -399,6 +520,7 @@ fn main() {
             proxy,
             matmul,
             batched_vs_looped,
+            render,
         },
     );
 }

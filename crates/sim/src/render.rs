@@ -77,17 +77,36 @@ impl GrayImage {
     }
 }
 
+// SplitMix64 multipliers of `hash01`'s three inputs.
+const K1: u64 = 0x9E3779B97F4A7C15;
+const K2: u64 = 0xBF58476D1CE4E5B9;
+const K3: u64 = 0x94D049BB133111EB;
+
 /// Deterministic integer hash → `[0, 1)` (SplitMix64 finalizer).
 #[inline]
 pub fn hash01(a: u64, b: u64, c: u64) -> f32 {
-    let mut z = a
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(b.wrapping_mul(0xBF58476D1CE4E5B9))
-        .wrapping_add(c.wrapping_mul(0x94D049BB133111EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    mix01(
+        a.wrapping_mul(K1)
+            .wrapping_add(b.wrapping_mul(K2))
+            .wrapping_add(c.wrapping_mul(K3)),
+    )
+}
+
+/// The finalizer half of [`hash01`], on the already-combined inputs.
+/// Wrapping `u64` sums are exact, so callers may hoist and regroup the
+/// `a·K1 + b·K2 + c·K3` terms without changing a bit.
+#[inline]
+fn mix01(mut z: u64) -> f32 {
+    z = (z ^ (z >> 30)).wrapping_mul(K2);
+    z = (z ^ (z >> 27)).wrapping_mul(K3);
     z ^= z >> 31;
     (z >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// Index of the 8×8 native background block containing coordinate `n`.
+#[inline]
+fn block_of(n: f32) -> u64 {
+    (n / 8.0).floor() as i64 as u64
 }
 
 /// Renders frames of a [`Clip`].
@@ -101,78 +120,36 @@ impl<'a> Renderer<'a> {
         Renderer { clip }
     }
 
+    /// Seeds the background texture and sensor noise (from the scene name).
+    fn bg_seed(&self) -> u64 {
+        self.clip
+            .scene
+            .name
+            .bytes()
+            .fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64))
+    }
+
     /// Render frame `frame` at `w × h` pixels.
     pub fn render(&self, frame: usize, w: usize, h: usize) -> GrayImage {
         let scene = &self.clip.scene;
-        let sx = scene.width as f32 / w as f32; // native px per target px
-        let sy = scene.height as f32 / h as f32;
-        let bg_seed = scene
-            .name
-            .bytes()
-            .fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64));
-        let fs = &self.clip.frames[frame];
-        let cam = fs.cam_offset;
-
-        let mut img = GrayImage::new(w, h);
-        // Background: level + vertical gradient + 8×8 native-block static
-        // noise (shifted by camera motion so drone footage "moves").
-        for y in 0..h {
-            let ny = y as f32 * sy + cam.1;
-            for x in 0..w {
-                let nx = x as f32 * sx + cam.0;
-                let block = hash01(
-                    (nx / 8.0).floor() as i64 as u64,
-                    (ny / 8.0).floor() as i64 as u64,
-                    bg_seed,
-                );
-                let v = scene.background_level + 0.10 * (ny / scene.height as f32) + 0.08 * block;
-                img.set(x, y, v);
-            }
-        }
-
-        // Objects: filled boxes with per-object tone and a simple two-band
-        // texture (roof vs body) so appearance features carry signal.
-        for o in &fs.objs {
-            let tone = o.class.intensity() * (0.85 + 0.3 * hash01(o.track_id as u64, 17, bg_seed));
-            let x0 = ((o.rect.x / sx).floor().max(0.0)) as usize;
-            let y0 = ((o.rect.y / sy).floor().max(0.0)) as usize;
-            let x1 = ((o.rect.x1() / sx).ceil().min(w as f32)) as usize;
-            let y1 = ((o.rect.y1() / sy).ceil().min(h as f32)) as usize;
-            for y in y0..y1 {
-                let band = if (y as f32 - o.rect.y / sy) < (o.rect.h / sy) * 0.4 {
-                    0.85
-                } else {
-                    1.0
-                };
-                for x in x0..x1 {
-                    img.set(x, y, (tone * band).clamp(0.0, 1.0));
-                }
-            }
-        }
-
-        // Sensor noise, varying per frame.
-        if scene.noise_sigma > 0.0 {
-            let amp = scene.noise_sigma;
-            for y in 0..h {
-                for x in 0..w {
-                    let n = hash01(x as u64, y as u64, frame as u64 ^ (bg_seed << 1)) - 0.5;
-                    let i = y * w + x;
-                    img.data[i] = (img.data[i] + 2.0 * amp * n).clamp(0.0, 1.0);
-                }
-            }
-        }
-        img
+        let (fw, fh) = (scene.width as f32, scene.height as f32);
+        self.render_region(frame, 0.0, 0.0, fw, fh, w, h)
     }
 
     /// Render the native-coordinate region `(rx, ry, rw, rh)` of frame
     /// `frame` at `w × h` pixels — the crop a detector sees for one
     /// window, resampled to its input resolution.
     ///
-    /// Shares [`Self::render`]'s scene content (background anchored in
-    /// native coordinates, objects as filled boxes), deterministically
-    /// per `(frame, region, resolution)`. Kept as a separate method so
-    /// the full-frame path — whose bits feed proxy training — stays
-    /// untouched.
+    /// Background: level + vertical gradient + 8×8 native-block static
+    /// noise (shifted by camera motion so drone footage "moves"). Objects:
+    /// filled boxes with per-object tone and a two-band texture (roof vs
+    /// body) so appearance features carry signal. Then per-frame sensor
+    /// noise. Deterministic per `(frame, region, resolution)`.
+    ///
+    /// Bit-identical to [`Self::render_region_naive`]: each block hash is
+    /// computed once per run of output pixels sharing a block, and the
+    /// per-row and per-column terms are hoisted, but every pixel sees the
+    /// same `f32` operations in the same order.
     #[allow(clippy::too_many_arguments)]
     pub fn render_region(
         &self,
@@ -187,12 +164,75 @@ impl<'a> Renderer<'a> {
         let scene = &self.clip.scene;
         let sx = rw / w as f32; // native px per target px
         let sy = rh / h as f32;
-        let bg_seed = scene
-            .name
-            .bytes()
-            .fold(0u64, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64));
-        let fs = &self.clip.frames[frame];
-        let cam = fs.cam_offset;
+        let bg_seed = self.bg_seed();
+        let cam = self.clip.frames[frame].cam_offset;
+        let mut img = GrayImage::new(w, h);
+
+        let block_cols: Vec<u64> = (0..w)
+            .map(|x| block_of(rx + x as f32 * sx + cam.0))
+            .collect();
+        let seed_term = bg_seed.wrapping_mul(K3);
+        let mut blocks = vec![0.0f32; w];
+        let mut cached_block_row = None;
+        for (y, row) in img.data.chunks_exact_mut(w.max(1)).enumerate() {
+            let ny = ry + y as f32 * sy + cam.1;
+            let by = block_of(ny);
+            if cached_block_row != Some(by) {
+                let row_term = by.wrapping_mul(K2).wrapping_add(seed_term);
+                let mut last = None;
+                for (b, &bx) in blocks.iter_mut().zip(&block_cols) {
+                    *b = match last {
+                        Some((lx, v)) if lx == bx => v,
+                        _ => mix01(bx.wrapping_mul(K1).wrapping_add(row_term)),
+                    };
+                    last = Some((bx, *b));
+                }
+                cached_block_row = Some(by);
+            }
+            let base = scene.background_level + 0.10 * (ny / scene.height as f32);
+            for (p, &b) in row.iter_mut().zip(&blocks) {
+                *p = base + 0.08 * b;
+            }
+        }
+
+        self.paint_objects(&mut img, frame, rx, ry, sx, sy);
+
+        if scene.noise_sigma > 0.0 {
+            let amp = scene.noise_sigma;
+            let frame_term = (frame as u64 ^ (bg_seed << 1)).wrapping_mul(K3);
+            for (y, row) in img.data.chunks_exact_mut(w.max(1)).enumerate() {
+                let mut z = (y as u64).wrapping_mul(K2).wrapping_add(frame_term);
+                for p in row {
+                    let n = mix01(z) - 0.5;
+                    *p = (*p + 2.0 * amp * n).clamp(0.0, 1.0);
+                    z = z.wrapping_add(K1);
+                }
+            }
+        }
+        img
+    }
+
+    /// Per-pixel reference for [`Self::render_region`]: one block hash
+    /// and one noise hash per output pixel, straight from the scene
+    /// definition. Kept as the oracle the fast path is tested and
+    /// benchmarked against; the object fill, untouched by the fast path,
+    /// is shared.
+    #[allow(clippy::too_many_arguments)]
+    pub fn render_region_naive(
+        &self,
+        frame: usize,
+        rx: f32,
+        ry: f32,
+        rw: f32,
+        rh: f32,
+        w: usize,
+        h: usize,
+    ) -> GrayImage {
+        let scene = &self.clip.scene;
+        let sx = rw / w as f32;
+        let sy = rh / h as f32;
+        let bg_seed = self.bg_seed();
+        let cam = self.clip.frames[frame].cam_offset;
 
         let mut img = GrayImage::new(w, h);
         for y in 0..h {
@@ -209,7 +249,27 @@ impl<'a> Renderer<'a> {
             }
         }
 
-        for o in &fs.objs {
+        self.paint_objects(&mut img, frame, rx, ry, sx, sy);
+
+        if scene.noise_sigma > 0.0 {
+            let amp = scene.noise_sigma;
+            for y in 0..h {
+                for x in 0..w {
+                    let n = hash01(x as u64, y as u64, frame as u64 ^ (bg_seed << 1)) - 0.5;
+                    let i = y * w + x;
+                    img.data[i] = (img.data[i] + 2.0 * amp * n).clamp(0.0, 1.0);
+                }
+            }
+        }
+        img
+    }
+
+    /// Paint frame `frame`'s objects over `img`, which samples the native
+    /// region at origin `(rx, ry)` with `(sx, sy)` native px per pixel.
+    fn paint_objects(&self, img: &mut GrayImage, frame: usize, rx: f32, ry: f32, sx: f32, sy: f32) {
+        let (w, h) = (img.w, img.h);
+        let bg_seed = self.bg_seed();
+        for o in &self.clip.frames[frame].objs {
             let tone = o.class.intensity() * (0.85 + 0.3 * hash01(o.track_id as u64, 17, bg_seed));
             let ox = (o.rect.x - rx) / sx;
             let oy = (o.rect.y - ry) / sy;
@@ -228,18 +288,6 @@ impl<'a> Renderer<'a> {
                 }
             }
         }
-
-        if scene.noise_sigma > 0.0 {
-            let amp = scene.noise_sigma;
-            for y in 0..h {
-                for x in 0..w {
-                    let n = hash01(x as u64, y as u64, frame as u64 ^ (bg_seed << 1)) - 0.5;
-                    let i = y * w + x;
-                    img.data[i] = (img.data[i] + 2.0 * amp * n).clamp(0.0, 1.0);
-                }
-            }
-        }
-        img
     }
 }
 
@@ -248,15 +296,20 @@ mod tests {
     use super::*;
     use crate::path::{PathSpec, ScaleProfile};
     use crate::scene::{CameraMotion, SceneSpec};
-    use std::sync::Arc;
+    use proptest::prelude::*;
+    use std::sync::{Arc, OnceLock};
 
     fn clip() -> Clip {
+        clip_with(CameraMotion::Fixed, 0.0)
+    }
+
+    fn clip_with(camera: CameraMotion, noise_sigma: f32) -> Clip {
         let scene = Arc::new(SceneSpec {
             name: "render-test".into(),
             width: 320,
             height: 192,
             fps: 10,
-            camera: CameraMotion::Fixed,
+            camera,
             paths: vec![PathSpec::straight(
                 "w->e",
                 (-40.0, 96.0),
@@ -266,7 +319,7 @@ mod tests {
                 80.0,
             )],
             background_level: 0.3,
-            noise_sigma: 0.0,
+            noise_sigma,
             hard_brake_prob: 0.0,
             signal_cycle_s: 0.0,
         });
@@ -339,10 +392,13 @@ mod tests {
     fn region_render_matches_full_frame_content() {
         let c = clip();
         let r = Renderer::new(&c);
-        // full-frame region at native resolution ≡ plain render
+        // full frame at native resolution (one block hash per 8×8 pixels)
+        // is bitwise the per-pixel reference
         let full = r.render(2, 320, 192);
-        let via_region = r.render_region(2, 0.0, 0.0, 320.0, 192.0, 320, 192);
-        assert_eq!(full, via_region);
+        assert!(same_bits(
+            &full,
+            &r.render_region_naive(2, 0.0, 0.0, 320.0, 192.0, 320, 192)
+        ));
         // a native-aligned crop at native sampling equals the same pixels
         // of the full frame
         let crop = r.render_region(2, 64.0, 32.0, 128.0, 96.0, 128, 96);
@@ -360,6 +416,65 @@ mod tests {
             r.render_region(1, 10.0, 5.0, 50.0, 40.0, 25, 20),
             r.render_region(1, 10.0, 5.0, 50.0, 40.0, 25, 20)
         );
+    }
+
+    /// Bitwise equality: `GrayImage`'s `PartialEq` compares `f32` values,
+    /// under which -0.0 == 0.0.
+    fn same_bits(a: &GrayImage, b: &GrayImage) -> bool {
+        (a.w, a.h) == (b.w, b.h)
+            && a.data
+                .iter()
+                .zip(&b.data)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A fixed-camera and a drifting-camera clip, both with sensor noise.
+    fn noisy_clips() -> &'static [Clip; 2] {
+        static CLIPS: OnceLock<[Clip; 2]> = OnceLock::new();
+        CLIPS.get_or_init(|| {
+            let drift = CameraMotion::Drift {
+                amp_x: 13.3,
+                amp_y: 7.1,
+                period_s: 4.0,
+            };
+            [clip_with(CameraMotion::Fixed, 0.03), clip_with(drift, 0.03)]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn fast_render_is_bit_identical_to_naive(
+            scene in (0usize..2, 0usize..60),
+            origin in (-80.0f32..360.0, -60.0f32..230.0),
+            extent in (0.5f32..400.0, 0.5f32..260.0),
+            out in (1usize..129, 1usize..129),
+        ) {
+            let c = &noisy_clips()[scene.0];
+            let r = Renderer::new(c);
+            let f = scene.1;
+            let (rx, ry) = origin;
+            let (rw, rh) = extent;
+            let (w, h) = out;
+            // arbitrary windows: fractional origins, partly outside the
+            // frame, resampled up or down
+            prop_assert!(
+                same_bits(
+                    &r.render_region(f, rx, ry, rw, rh, w, h),
+                    &r.render_region_naive(f, rx, ry, rw, rh, w, h),
+                ),
+                "region ({rx}, {ry}, {rw}, {rh}) at {w}x{h}, frame {f}, scene {}",
+                scene.0
+            );
+            // the full frame at an arbitrary output size
+            prop_assert!(
+                same_bits(
+                    &r.render(f, w, h),
+                    &r.render_region_naive(f, 0.0, 0.0, 320.0, 192.0, w, h),
+                ),
+                "full frame at {w}x{h}, frame {f}, scene {}",
+                scene.0
+            );
+        }
     }
 
     #[test]
