@@ -283,9 +283,17 @@ impl PoolCore {
     /// if any. Caller must already have moved the task's state to
     /// QUEUED.
     fn enqueue(&self, task: usize) {
-        self.injector.push(task);
+        // Count before publishing: once pushed, a worker may pop the
+        // task and decrement `runnable` before this thread runs again,
+        // which would wrap the counter if the increment came second.
         let r = self.runnable.fetch_add(1, Ordering::SeqCst) as u64 + 1;
+        debug_assert!(
+            r <= self.states.len() as u64,
+            "runnable count {r} exceeds the pool's {} tasks",
+            self.states.len()
+        );
         self.peak_runnable.fetch_max(r, Ordering::Relaxed);
+        self.injector.push(task);
         let idle = self.sleep.lock().unwrap();
         if *idle > 0 {
             self.wake_cv.notify_one();
