@@ -3,7 +3,7 @@
 //! accounting.
 //!
 //! The engine's deployment regime (OTIF §6: long-running multi-camera
-//! ingest) must survive a bad clip or a dying stage thread without
+//! ingest) must survive a bad clip or a dying stream without
 //! losing the rest of the fleet. Three pieces make that testable:
 //!
 //! * [`FaultPlan`] — a deterministic schedule of injected faults,
@@ -11,12 +11,11 @@
 //!   stage sees a clip's sampled frames in the same order, a plan fires
 //!   at exactly the same point of the computation on every run, so
 //!   faulted runs are as reproducible as healthy ones.
-//! * [`supervise_poll`] — the shim every stage-task poll runs under. It
-//!   catches panics (`catch_unwind`), records them on the
-//!   [`HealthBoard`], and tells the worker pool to retire the task; the
-//!   dropped task releases its queue endpoints and (for the detect
-//!   stage) its `StreamGuard`, so sibling streams keep flowing instead
-//!   of deadlocking or aborting.
+//! * [`supervise`] — the shim every stream-task poll runs under. It
+//!   catches panics (`catch_unwind`); the task records them on the
+//!   [`HealthBoard`] against the stage step that was running and
+//!   retires. Dropping the task finishes its stream at the batcher, so
+//!   sibling streams keep flowing instead of deadlocking or aborting.
 //! * [`HealthBoard`] — shared per-run record of stream panics and
 //!   per-clip recoverable failures, folded into
 //!   [`EngineStats`](crate::stats::EngineStats) at the end of a run.
@@ -77,7 +76,7 @@ impl fmt::Display for StageName {
     }
 }
 
-/// How long an injected [`FaultKind::Stall`] blocks its stage thread.
+/// How long an injected [`FaultKind::Stall`] blocks its stage step.
 /// Finite, so an un-watchdogged run still terminates — just slowly; a
 /// stage watchdog with a shorter timeout converts the wedge into typed
 /// stall failures instead.
@@ -86,7 +85,7 @@ pub const STALL_SLEEP: std::time::Duration = std::time::Duration::from_millis(40
 /// What an injected fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// Panic in the stage thread. The whole stream dies (its remaining
+    /// Panic in the stage step. The whole stream dies (its remaining
     /// clips fail, non-recoverably); sibling streams are unaffected.
     Panic,
     /// Recoverable error. Only the targeted clip is poisoned — the
@@ -98,8 +97,10 @@ pub enum FaultKind {
     /// processing the frame, then continue normally. Without a stage
     /// watchdog the run completes (slowly); with
     /// [`EngineOptions::stage_timeout`](crate::EngineOptions) set below
-    /// the sleep, blocked neighbours convert the wedge into typed,
-    /// recoverable stall failures that the sequential retry heals.
+    /// the sleep, the stream sees its own step overrun the timeout and
+    /// retires with a typed, recoverable stall failure that the
+    /// sequential retry heals (siblings left waiting on its batcher
+    /// round past the timeout expire the same way).
     Stall,
 }
 
@@ -258,7 +259,7 @@ impl FaultPlan {
 /// A stream panic captured by the supervision shim.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PanicReport {
-    /// Stage whose thread panicked.
+    /// Stage step that panicked.
     pub stage: StageName,
     /// The panic payload, stringified.
     pub reason: String,
@@ -272,10 +273,11 @@ pub(crate) struct ClipFailure {
     pub recoverable: bool,
 }
 
-/// A stream-level stall detected by the stage watchdog: some stage of
-/// the stream gave up on a wedged channel or batcher rendezvous and
-/// exited. Clips the stream never finalized because of it are
-/// recoverable (the work itself is healthy — only the plumbing wedged).
+/// A stream-level stall detected by the stage watchdog: a stage step
+/// of the stream overran the timeout, or the stream gave up on a wedged
+/// batcher rendezvous, and it retired. Clips the stream never finalized
+/// because of it are recoverable (the work itself is healthy — only the
+/// timing wedged).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StallReport {
     pub stage: StageName,
@@ -288,7 +290,7 @@ pub(crate) struct StallReport {
 pub(crate) struct HealthBoard {
     /// First captured panic per stream.
     panics: Mutex<Vec<Option<PanicReport>>>,
-    /// Total panics captured (a stream can lose several stage threads).
+    /// Total panics captured.
     panic_count: Mutex<usize>,
     /// First recorded failure per clip.
     clip_failures: Mutex<BTreeMap<usize, ClipFailure>>,
@@ -359,14 +361,14 @@ impl HealthBoard {
 }
 
 thread_local! {
-    /// Whether the current thread is a supervised engine stage: its
+    /// Whether the current thread is running a supervised poll: its
     /// panics are captured and reported through the health board, so
     /// the default print-to-stderr panic hook is suppressed for it.
     static SUPERVISED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Install (once, process-wide) a panic hook that stays silent for
-/// supervised stage threads and delegates to the previous hook for
+/// supervised polls and delegates to the previous hook for
 /// everything else — `#[should_panic]` tests and genuine crashes keep
 /// their diagnostics.
 fn install_supervised_panic_hook() {
@@ -392,28 +394,17 @@ fn payload_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Run one stage-task poll under panic supervision: a panic is captured
-/// on the health board and `None` is returned so the caller drops the
-/// task (its queue endpoints and `StreamGuard` drop with it, letting
-/// sibling streams keep draining); a clean poll's result passes through
-/// as `Some`.
-pub(crate) fn supervise_poll<T>(
-    stage: StageName,
-    stream: usize,
-    health: &HealthBoard,
-    f: impl FnOnce() -> T,
-) -> Option<T> {
+/// Run one stream-task poll under panic supervision: a panic is caught
+/// (the default hook stays silent for it) and returned as its
+/// stringified payload, so the caller can record it on the health board
+/// against the running stage step and retire the task; a clean poll's
+/// result passes through.
+pub(crate) fn supervise<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     install_supervised_panic_hook();
     SUPERVISED.with(|s| s.set(true));
     let result = catch_unwind(AssertUnwindSafe(f));
     SUPERVISED.with(|s| s.set(false));
-    match result {
-        Ok(v) => Some(v),
-        Err(payload) => {
-            health.record_panic(stream, stage, payload_message(payload));
-            None
-        }
-    }
+    result.map_err(payload_message)
 }
 
 #[cfg(test)]
@@ -447,20 +438,11 @@ mod tests {
 
     #[test]
     fn supervise_captures_panics_without_propagating() {
-        let health = HealthBoard::new(2);
-        let outcome = supervise_poll(StageName::Window, 1, &health, || {
+        let outcome = supervise(|| -> usize {
             panic!("boom in window");
         });
-        assert!(outcome.is_none(), "a panicking poll yields no result");
-        let report = health.panic_of(1).expect("panic recorded");
-        assert_eq!(report.stage, StageName::Window);
-        assert!(report.reason.contains("boom in window"));
-        assert!(health.panic_of(0).is_none());
-        assert_eq!(health.panic_count(), 1);
-        assert_eq!(
-            supervise_poll(StageName::Track, 0, &health, || 7usize),
-            Some(7)
-        );
+        assert!(outcome.unwrap_err().contains("boom in window"));
+        assert_eq!(supervise(|| 7usize), Ok(7));
     }
 
     #[test]

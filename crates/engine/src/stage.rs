@@ -1,7 +1,7 @@
-//! Shared context and message types for the four per-stream stages
-//! (decode → window → detect → track), now implemented as resumable
-//! state machines in [`crate::tasks`] and polled by a fixed worker
-//! pool instead of running as dedicated OS threads.
+//! Shared context for the per-stream pipeline: decode → window →
+//! detect → track, run in frame order by one resumable
+//! [`StreamTask`](crate::tasks::StreamTask) per stream and polled by a
+//! fixed worker pool.
 //!
 //! All cost charging goes through the same `otif_core::stages`
 //! functions the sequential pipeline uses, but every charge lands in
@@ -12,13 +12,10 @@
 //! [`DetectorBatcher`](crate::batcher::DetectorBatcher) per cross-stream
 //! batch instead of per frame.
 //!
-//! Fault handling: messages travel as [`StageMsg`] — either a frame or
-//! a per-clip abort. A stage hitting a recoverable fault records it on
-//! the [`HealthBoard`], poisons the clip locally (skipping its
-//! remaining frames) and forwards an abort so downstream stages drop
-//! their in-flight state for that clip; the stream then continues with
-//! its next clips. Injected panics unwind for real and are caught by
-//! the per-poll supervision shim in [`crate::tasks`].
+//! Fault handling: a stage step hitting a recoverable fault records it
+//! on the [`HealthBoard`] and the stream task moves on to its next
+//! clip. Injected panics unwind for real and are caught by the per-poll
+//! supervision in [`crate::tasks`].
 
 use crate::exec::DetectorExecHarness;
 use crate::fault::{FaultKind, FaultPlan, HealthBoard, StageName, STALL_SLEEP};
@@ -27,8 +24,7 @@ use crate::stats::EngineCounters;
 use crate::timeline::ClipTimeline;
 use otif_core::config::OtifConfig;
 use otif_core::pipeline::ExecutionContext;
-use otif_cv::{CostLedger, Detection};
-use otif_geom::Rect;
+use otif_cv::CostLedger;
 use otif_sim::Clip;
 use parking_lot::Mutex;
 use std::time::Duration;
@@ -42,8 +38,8 @@ pub(crate) enum GhostMode {
     Live,
     /// The clip completed in-stream in a previous (crashed) run and was
     /// checkpointed: its ledger, timeline and result are pre-loaded by
-    /// the scheduler, and the stages only *stream* it — forwarding
-    /// frames and submitting recorded batcher tickets so the
+    /// the scheduler, and the stream task only *streams* it —
+    /// submitting its recorded batcher tickets so the
     /// cross-stream round sequence (and every sibling's accounting)
     /// reproduces bitwise — without recomputing or re-charging anything.
     Stream,
@@ -53,7 +49,7 @@ pub(crate) enum GhostMode {
     Skip,
 }
 
-/// Everything a stage task needs besides its queues: the run
+/// Everything a stream task needs besides the batcher: the run
 /// configuration, this stream's clip assignment, the shared counters,
 /// the per-clip cost ledgers and the fault machinery.
 #[derive(Clone, Copy)]
@@ -69,32 +65,30 @@ pub(crate) struct StageCtx<'a> {
     /// for a clip that ends up failing are discarded with it.
     pub clip_ledgers: &'a [CostLedger],
     /// Per-clip, per-frame charge recordings for the pipelined replay
-    /// (parallel to `clip_ledgers`). Each stage appends only its own
+    /// (parallel to `clip_ledgers`). Each stage step appends to its own
     /// field, in frame-ordinal order.
     pub timelines: &'a [Mutex<ClipTimeline>],
     pub faults: &'a FaultPlan,
     pub health: &'a HealthBoard,
     /// Surrogate detector execution harness; `None` (or mode `Off`)
-    /// means the detect stage computes accounting only, exactly as
-    /// before the surrogate existed.
+    /// means the detect step computes accounting only.
     pub detector_exec: Option<&'a DetectorExecHarness>,
     /// Per-clip ghost modes (indexed by global clip index) — how much
     /// of each clip's work this run actually performs.
     pub ghost: &'a [GhostMode],
     /// Run-journal checkpoint sink; `None` for unjournaled runs.
     pub checkpoint: Option<&'a Checkpointer>,
-    /// Stage watchdog: how long a stage task may stay parked on a
-    /// wedged queue slot or batcher rendezvous before the wedge is
-    /// converted into a typed, recoverable stall failure and the task
-    /// retired.
+    /// Stage watchdog: how long one stage step may run, or the task
+    /// stay parked on the batcher rendezvous, before the wedge becomes
+    /// a typed, recoverable stall failure and the stream retires.
     pub stage_timeout: Option<Duration>,
 }
 
 impl StageCtx<'_> {
     /// Consult the fault plan for `(stage, clip, ordinal)`. Returns
-    /// `true` if a recoverable error fired (the caller poisons the
-    /// clip); panics for real if a panic fault fired — the supervision
-    /// shim catches it. A stall fault sleeps [`STALL_SLEEP`] and then
+    /// `true` if a recoverable error fired (the caller fails the clip);
+    /// panics for real if a panic fault fired — the per-poll
+    /// supervision catches it. A stall fault sleeps [`STALL_SLEEP`] and then
     /// lets the frame proceed normally.
     pub fn fire(&self, stage: StageName, clip: usize, ordinal: usize) -> bool {
         match self.faults.fire(stage, clip, ordinal) {
@@ -114,36 +108,20 @@ impl StageCtx<'_> {
         }
     }
 
-    /// Record a stage-watchdog starvation: the task was parked waiting
-    /// for input longer than the timeout while its upstream stayed
-    /// connected — upstream is wedged.
-    pub fn record_recv_stall(&self, stage: StageName) {
+    /// Record a stage-watchdog overrun: one step of `stage` ran longer
+    /// than the timeout. The stream retires; its unfinished clips fail
+    /// recoverably and the sequential retry heals them.
+    pub fn record_overrun(&self, stage: StageName) {
         let timeout = self.stage_timeout.unwrap_or_default();
         let reason = format!(
-            "watchdog: {stage} starved >{:.3}s waiting for input \
-             (decode_starved)",
+            "watchdog: {stage} ran >{:.3}s on one frame (stage_overrun)",
             timeout.as_secs_f64()
         );
         self.health.record_stall(self.stream, stage, reason);
     }
 
-    /// Record a stage-watchdog backpressure stall: the task was parked
-    /// on a full output slot longer than the timeout — the pipeline
-    /// downstream of `stage` is wedged. The in-flight clip fails
-    /// recoverably.
-    pub fn record_send_stall(&self, stage: StageName, clip: usize) {
-        let timeout = self.stage_timeout.unwrap_or_default();
-        let reason = format!(
-            "watchdog: {stage} stalled >{:.3}s sending to the next stage \
-             (channel_backpressure)",
-            timeout.as_secs_f64()
-        );
-        self.health.record_stall(self.stream, stage, reason.clone());
-        self.health.record_clip_failure(clip, stage, reason, true);
-    }
-
     /// Record a batcher-rendezvous watchdog timeout (a sibling stream
-    /// wedged the cross-stream flush watermark) before the detect task
+    /// wedged the cross-stream flush watermark) before the stream task
     /// is retired.
     pub fn record_batcher_stall(&self, clip: usize) {
         let timeout = self.stage_timeout.unwrap_or_default();
@@ -156,61 +134,5 @@ impl StageCtx<'_> {
             .record_stall(self.stream, StageName::Detect, reason.clone());
         self.health
             .record_clip_failure(clip, StageName::Detect, reason, true);
-    }
-}
-
-/// A message between stages: a frame of a live clip, or notice that a
-/// clip was aborted upstream and its in-flight state must be dropped.
-pub(crate) enum StageMsg<T> {
-    Frame(T),
-    Abort { clip: usize },
-}
-
-/// A sampled frame leaving the decode stage.
-pub(crate) struct DecodedFrame {
-    /// Index of the clip in the engine's global clip list.
-    pub clip: usize,
-    /// Frame number within the clip.
-    pub frame: usize,
-    /// 0-based arrival ordinal of the clip's sampled frames.
-    pub ordinal: usize,
-    /// Whether this is the clip's last sampled frame.
-    pub last: bool,
-}
-
-/// A frame with detector windows selected.
-pub(crate) struct WindowedFrame {
-    pub clip: usize,
-    pub frame: usize,
-    pub ordinal: usize,
-    pub windows: Vec<Rect>,
-    pub last: bool,
-}
-
-/// A frame with detections computed.
-pub(crate) struct DetectedFrame {
-    pub clip: usize,
-    pub frame: usize,
-    pub ordinal: usize,
-    pub dets: Vec<Detection>,
-    pub last: bool,
-}
-
-/// Clip-index → clip resolution for a stream's assigned clips.
-pub(crate) struct ClipLookup<'a> {
-    clips: &'a [(usize, &'a Clip)],
-}
-
-impl<'a> ClipLookup<'a> {
-    pub fn new(clips: &'a [(usize, &'a Clip)]) -> Self {
-        ClipLookup { clips }
-    }
-
-    pub fn get(&self, clip_idx: usize) -> &'a Clip {
-        self.clips
-            .iter()
-            .find(|(i, _)| *i == clip_idx)
-            .map(|(_, c)| *c)
-            .expect("clip index belongs to this stream")
     }
 }

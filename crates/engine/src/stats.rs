@@ -1,5 +1,5 @@
-//! Engine observability: lock-free per-stage counters updated by the
-//! stage threads, snapshotted into a serializable [`EngineStats`] at
+//! Engine observability: lock-free counters updated by the stream
+//! tasks, snapshotted into a serializable [`EngineStats`] at
 //! the end of a run — including per-stream health and the exact list
 //! of failed clips.
 
@@ -9,14 +9,7 @@ use otif_cv::{Component, CostLedger};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Index of the decode→window queue in queue-depth arrays.
-pub const QUEUE_DECODE: usize = 0;
-/// Index of the window→detect queue.
-pub const QUEUE_WINDOW: usize = 1;
-/// Index of the detect→track queue.
-pub const QUEUE_DETECT: usize = 2;
-
-/// Live atomic counters shared by all stage threads of a run.
+/// Live atomic counters shared by all stream tasks of a run.
 #[derive(Debug, Default)]
 pub struct EngineCounters {
     /// Frames that entered the pipeline (decode stage).
@@ -27,23 +20,22 @@ pub struct EngineCounters {
     pub frames_detected: AtomicU64,
     /// Frames consumed by the tracker (pipeline exit).
     pub frames_tracked: AtomicU64,
-    /// Cooperative yields per stage task kind (decode, window, detect,
-    /// track) — a budget-exhausted task handing its worker back.
-    pub stage_yields: [AtomicU64; 4],
+    /// Cooperative yields — a budget-exhausted stream task handing its
+    /// worker back.
+    pub stream_yields: AtomicU64,
     in_flight: AtomicU64,
     max_in_flight: AtomicU64,
-    max_queue_depth: [AtomicU64; 3],
     peak_os_threads: AtomicU64,
 }
 
 impl EngineCounters {
-    /// Record a frame entering the pipeline (decode stage send).
+    /// Record a frame entering the pipeline (decoded).
     pub fn frame_entered(&self) {
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         self.max_in_flight.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Record a frame leaving the pipeline (track stage consume).
+    /// Record a frame leaving the pipeline (tracked or dropped).
     pub fn frame_exited(&self) {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
@@ -51,12 +43,6 @@ impl EngineCounters {
     /// Frames currently somewhere between decode and track.
     pub fn frames_in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Sample a queue's depth after a send (`queue` is one of the
-    /// `QUEUE_*` indices).
-    pub fn observe_queue_depth(&self, queue: usize, depth: usize) {
-        self.max_queue_depth[queue].fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     /// Sample the process's current OS thread count into the peak
@@ -147,9 +133,6 @@ pub struct EngineStats {
     pub frames: u64,
     /// Peak number of frames in flight across all streams.
     pub max_frames_in_flight: u64,
-    /// Peak depth of the decode→window, window→detect and detect→track
-    /// queues (indexed by the `QUEUE_*` constants).
-    pub max_queue_depth: [u64; 3],
     /// Batched detector invocations.
     pub batches: u64,
     /// Windows carried by those invocations.
@@ -246,8 +229,8 @@ pub struct EngineStats {
     pub task_steals: u64,
     /// Total task polls the pool executed.
     pub task_polls: u64,
-    /// Cooperative yields per stage (decode, window, detect, track).
-    pub stage_yields: [u64; 4],
+    /// Cooperative yields of the stream tasks.
+    pub stream_yields: u64,
     /// Peak OS thread count sampled during the run (the
     /// oversubscription guard; 0 when never sampled).
     pub peak_os_threads: u64,
@@ -257,7 +240,7 @@ pub struct EngineStats {
 /// exact bit pattern: what an interrupted-and-resumed run must
 /// reproduce byte-for-byte against an uninterrupted run (for
 /// healthy-compute runs). Excludes inherently racy observability
-/// (queue depths, in-flight peaks, wall-clock surrogate timings) and
+/// (in-flight peaks, wall-clock surrogate timings) and
 /// the resume/checkpoint bookkeeping itself.
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 struct DeterministicStats {
@@ -296,11 +279,6 @@ impl EngineStats {
             clips,
             frames: counters.frames_tracked.load(Ordering::Relaxed),
             max_frames_in_flight: counters.max_in_flight.load(Ordering::Relaxed),
-            max_queue_depth: [
-                counters.max_queue_depth[0].load(Ordering::Relaxed),
-                counters.max_queue_depth[1].load(Ordering::Relaxed),
-                counters.max_queue_depth[2].load(Ordering::Relaxed),
-            ],
             batches: batch.batches,
             batch_items: batch.items,
             mean_batch_occupancy: batch.mean_occupancy(),
@@ -341,12 +319,7 @@ impl EngineStats {
             peak_runnable_tasks: 0,
             task_steals: 0,
             task_polls: 0,
-            stage_yields: [
-                counters.stage_yields[0].load(Ordering::Relaxed),
-                counters.stage_yields[1].load(Ordering::Relaxed),
-                counters.stage_yields[2].load(Ordering::Relaxed),
-                counters.stage_yields[3].load(Ordering::Relaxed),
-            ],
+            stream_yields: counters.stream_yields.load(Ordering::Relaxed),
             peak_os_threads: counters.peak_os_threads(),
         }
     }

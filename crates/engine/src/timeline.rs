@@ -9,12 +9,12 @@
 //! clock advances independently and a frame's completion time is
 //! `max(ready_time_of_inputs, stage_clock) + charge`.
 //!
-//! The replay is *not* computed on the live threads (wall-clock
+//! The replay is *not* computed by the live stream tasks (wall-clock
 //! interleaving must never leak into reported seconds). Instead the
-//! stages record their per-frame charges (see
+//! stage steps record their per-frame charges (see
 //! [`ClipTimeline`]) and the batcher records its flush rounds (see
-//! [`RoundRecord`](crate::batcher::RoundRecord)); after the threads
-//! join, [`replay`] recomputes completion times single-threadedly from
+//! [`RoundRecord`](crate::batcher::RoundRecord)); after the worker pool
+//! drains, [`replay`] recomputes completion times single-threadedly from
 //! those records, which are themselves pure functions of the inputs.
 //! Charges never move — only the completion-time model is new — so
 //! every ledger sum stays bitwise identical to the serial model.
@@ -41,10 +41,9 @@
 //!
 //! Only clips that completed *in-stream* are replayed: a failed clip's
 //! charges are discarded from the ledger (`wasted_seconds`), so they
-//! must not shape the reported makespan either — that also keeps the
-//! replay deterministic under injected faults, because the completed
-//! set and the surviving ticket sequences are deterministic while a
-//! dead stream's decode-ahead depth is not.
+//! must not shape the reported makespan either — the replay models the
+//! work the run kept, and the completed set and the surviving ticket
+//! sequences are deterministic under injected faults.
 
 use crate::batcher::RoundRecord;
 use serde::{Deserialize, Serialize};
@@ -222,8 +221,8 @@ impl StreamSim {
             if k >= self.next_detect {
                 self.ensure_detected(k);
             }
-            // A clip's finalization (stitch + refine) happens on the
-            // track thread before it consumes anything further, so the
+            // A clip's finalization (stitch + refine) happens in the
+            // track stage before it consumes anything further, so the
             // last frame's exit — which the decode prefetch gate
             // watches — includes it. This is also what makes
             // `prefetch = 1` degenerate exactly to the serial sum.

@@ -394,17 +394,13 @@ fn cmd_execute(flags: HashMap<String, String>) -> Result<(), String> {
         );
         eprintln!(
             "scheduler: {} workers ({} stream(s) admitted at once), peak {} runnable \
-             tasks, {} polls ({} stolen), yields decode {} / window {} / detect {} / \
-             track {}, peak {} OS threads",
+             tasks, {} polls ({} stolen), {} yields, peak {} OS threads",
             run.stats.workers,
             run.stats.max_active_streams,
             run.stats.peak_runnable_tasks,
             run.stats.task_polls,
             run.stats.task_steals,
-            run.stats.stage_yields[0],
-            run.stats.stage_yields[1],
-            run.stats.stage_yields[2],
-            run.stats.stage_yields[3],
+            run.stats.stream_yields,
             run.stats.peak_os_threads,
         );
         eprintln!(
@@ -1007,13 +1003,13 @@ const USAGE: &str = "usage: otif-cli <generate|prepare|curve|execute|query|inges
   curve    --model model.json
   execute  --model model.json --dataset <name> [... same dataset flags] [--pick 0.05] [--streams N]
            [--prefetch N] [--out tracks.json] [--stats stats.json] [--fail-fast]
-           [--workers N]             (fixed worker-pool size; default min(cores, 4*streams))
+           [--workers N]             (fixed worker-pool size, one task per stream; default min(cores, streams))
            [--max-active-streams N]  (admission control: streams admitted concurrently; default all)
            [--detector-exec off|looped|batched]   (run the detector surrogate per window, looped or batched)
            [--inject-fault stage:kind:clip:frame[,...]]   (stage: decode|window|detect|track; kind: panic|error|stall)
            [--run-dir DIR]    (journal the run: checkpoint each completed clip durably into DIR)
            [--resume DIR]     (resume a crashed journaled run; outputs are bitwise identical)
-           [--stage-timeout-secs S]   (watchdog: a stage stalled > S becomes a recoverable clip failure)
+           [--stage-timeout-secs S]   (watchdog: a stage step stalled > S becomes a recoverable clip failure)
   query    --tracks tracks.json --dataset <name> [... same dataset flags] --query <count|breakdown|braking|volume>
   ingest       --tracks tracks.json --dataset <name> [... same dataset flags] [--store otif-store]
   serve-query  --store otif-store --query <avg|volume|peak|count|braking|busy|hotspot|region>

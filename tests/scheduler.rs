@@ -67,8 +67,8 @@ fn run_fingerprint(
     }
     assert!(run.stats.task_polls > 0, "the pool must have polled tasks");
     assert!(
-        run.stats.peak_runnable_tasks <= 4 * run.stats.streams as u64,
-        "runnable tasks are bounded by the 4-per-stream state machines"
+        run.stats.peak_runnable_tasks <= run.stats.streams as u64,
+        "runnable tasks are bounded by the one task per stream"
     );
     let bits = COMPONENTS
         .iter()
