@@ -27,11 +27,12 @@
 //!
 //! Usage: `cargo run --release -p otif-bench --bin chaos
 //! [tiny|small|experiment|smoke]` — `smoke` is the CI entry: tiny
-//! scale, a 3-kill + 1-torn + 1-rename subset, results to
-//! `BENCH_chaos_smoke.json` instead of `BENCH_chaos.json`.
+//! scale, a 3-kill + 1-torn + 1-rename subset, results to the
+//! git-ignored `target/bench-smoke/BENCH_chaos_smoke.json` instead of
+//! `results/BENCH_chaos.json`.
 
 use otif_bench::harness::SEED;
-use otif_bench::report::{print_table, write_json};
+use otif_bench::report::{print_table, write_report};
 use otif_core::config::{OtifConfig, TrackerKind};
 use otif_core::pipeline::ExecutionContext;
 use otif_cv::{Component, CostLedger, CostModel, DetectorArch, DetectorConfig};
@@ -599,13 +600,6 @@ fn main() {
         report.crash_points, report.checkpoints, n
     );
 
-    write_json(
-        if smoke {
-            "BENCH_chaos_smoke"
-        } else {
-            "BENCH_chaos"
-        },
-        &report,
-    );
+    write_report("BENCH_chaos", smoke, &report);
     std::fs::remove_dir_all(&base).ok();
 }

@@ -16,10 +16,11 @@
 //! Usage: `cargo run --release -p otif-bench --bin kernels [tiny|small|experiment]`
 //!
 //! `tiny` is the CI smoke mode: a reduced input and rep count, written
-//! to `results/BENCH_kernels_smoke.json` so it never clobbers the real
-//! `results/BENCH_kernels.json` produced by the full mode.
+//! to the git-ignored `target/bench-smoke/BENCH_kernels_smoke.json` so
+//! it never rewrites the real `results/BENCH_kernels.json` produced by
+//! the full mode.
 
-use otif_bench::report::{print_table, write_json};
+use otif_bench::report::{print_table, write_report};
 use otif_core::proxy::proxy_input_dims;
 use otif_core::{SegProxyModel, WindowNet, PROXY_SCALES};
 use otif_cv::{DetectorArch, DetectorConfig};
@@ -325,9 +326,8 @@ fn bench_render(
 
 fn main() {
     let smoke = matches!(std::env::args().nth(1).as_deref(), Some("tiny"));
-    let (report_name, mode, proxy, matmul_shapes, reps) = if smoke {
+    let (mode, proxy, matmul_shapes, reps) = if smoke {
         (
-            "BENCH_kernels_smoke",
             "smoke",
             bench_proxy(96, 64, 3),
             vec![(6, 27, 256), (16, 64, 128)],
@@ -335,7 +335,6 @@ fn main() {
         )
     } else {
         (
-            "BENCH_kernels",
             "full",
             bench_proxy(384, 224, 100),
             // The proxy's own GEMM shapes (encoder layers 1–3 at native
@@ -513,8 +512,9 @@ fn main() {
         }
     }
 
-    write_json(
-        report_name,
+    write_report(
+        "BENCH_kernels",
+        smoke,
         &KernelsReport {
             mode: mode.to_string(),
             proxy,

@@ -30,11 +30,12 @@
 //!
 //! Usage: `cargo run --release -p otif-bench --bin robustness
 //! [tiny|small|experiment|smoke]` — `smoke` is the CI entry: tiny
-//! scale, results to `BENCH_robustness_smoke.json` instead of
-//! `BENCH_robustness.json`.
+//! scale, results to the git-ignored
+//! `target/bench-smoke/BENCH_robustness_smoke.json` instead of
+//! `results/BENCH_robustness.json`.
 
 use otif_bench::harness::SEED;
-use otif_bench::report::{print_table, write_json};
+use otif_bench::report::{print_table, write_report};
 use otif_core::config::{OtifConfig, TrackerKind};
 use otif_core::pipeline::ExecutionContext;
 use otif_cv::{CostLedger, CostModel, DetectorArch, DetectorConfig};
@@ -586,13 +587,6 @@ fn main() {
         report.transient_backoff_seconds
     );
 
-    write_json(
-        if smoke {
-            "BENCH_robustness_smoke"
-        } else {
-            "BENCH_robustness"
-        },
-        &report,
-    );
+    write_report("BENCH_robustness", smoke, &report);
     std::fs::remove_dir_all(&base).ok();
 }

@@ -26,11 +26,12 @@
 //!
 //! Usage: `cargo run --release -p otif-bench --bin serving
 //! [tiny|small|experiment|smoke]` — `smoke` is the CI entry: tiny
-//! scale, results to `BENCH_serving_smoke.json` instead of
-//! `BENCH_serving.json`.
+//! scale, results to the git-ignored
+//! `target/bench-smoke/BENCH_serving_smoke.json` instead of
+//! `results/BENCH_serving.json`.
 
 use otif_bench::harness::SEED;
-use otif_bench::report::{print_table, write_json};
+use otif_bench::report::{print_table, write_report};
 use otif_core::config::{OtifConfig, TrackerKind};
 use otif_core::pipeline::ExecutionContext;
 use otif_cv::{CostLedger, CostModel, DetectorArch, DetectorConfig};
@@ -348,13 +349,6 @@ fn main() {
         report.answers_identical
     );
 
-    write_json(
-        if smoke {
-            "BENCH_serving_smoke"
-        } else {
-            "BENCH_serving"
-        },
-        &report,
-    );
+    write_report("BENCH_serving", smoke, &report);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -25,9 +25,12 @@
 //! simulated numbers without being conflated with them.
 //!
 //! Usage: `cargo run --release -p otif-bench --bin throughput [tiny|small|experiment]`
+//! — `tiny` is the smoke mode of `scripts/check.sh`: its report goes to
+//! the git-ignored `target/bench-smoke/BENCH_throughput_smoke.json`
+//! instead of `results/BENCH_throughput.json`.
 
 use otif_bench::harness::{make_dataset, scale_from_args, SEED};
-use otif_bench::report::{print_table, write_json};
+use otif_bench::report::{print_table, write_report};
 use otif_core::config::{OtifConfig, ProxyParams, TrackerKind};
 use otif_core::pipeline::ExecutionContext;
 use otif_core::windows::cells_of_rects;
@@ -132,8 +135,10 @@ fn main() {
     let prefetch_sweep = prefetch_sweep(&dataset);
     let elastic_scaling = elastic_sweep();
 
-    write_json(
+    let smoke = matches!(std::env::args().nth(1).as_deref(), Some("tiny"));
+    write_report(
         "BENCH_throughput",
+        smoke,
         &ThroughputReport {
             stream_scaling,
             prefetch_sweep,

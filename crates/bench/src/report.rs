@@ -16,7 +16,23 @@ pub fn results_dir() -> PathBuf {
 
 /// Serialize a result value to `results/<name>.json`.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
+    write_to(results_dir().join(format!("{name}.json")), value);
+}
+
+/// Write a bench report: `results/<name>.json` in full mode, or
+/// `target/bench-smoke/<name>_smoke.json` in a smoke mode. Smoke runs
+/// (`scripts/check.sh`, CI) record host timings, so they go under the
+/// git-ignored `target/` and never rewrite a tracked file.
+pub fn write_report<T: Serialize>(name: &str, smoke: bool, value: &T) {
+    if !smoke {
+        return write_json(name, value);
+    }
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-smoke");
+    fs::create_dir_all(&dir).expect("create smoke report dir");
+    write_to(dir.join(format!("{name}_smoke.json")), value);
+}
+
+fn write_to<T: Serialize>(path: PathBuf, value: &T) {
     let json = serde_json::to_string_pretty(value).expect("serialize results");
     fs::write(&path, json).expect("write results file");
     eprintln!("[results] wrote {}", path.display());

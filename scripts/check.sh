@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+# The smokes below write their reports under the git-ignored target/;
+# none of them may touch the tracked results/ (checked at the end).
+results_state() { { git status --porcelain --untracked-files=all -- results/; git diff -- results/; } | cksum; }
+results_before="$(results_state)"
+
 echo "== kernels bench smoke (tiny shapes, bit-identity + batched-vs-looped gates)"
 cargo run --release -q -p otif-bench --bin kernels tiny
 
@@ -75,7 +80,7 @@ echo "== serving smoke (ingest synthetic clips, mixed workload, pruning + cache-
 # across pruning / cache state / concurrency, strictly fewer clips
 # evaluated (and clip files read) with index pruning on, and a warm
 # answer cache beating the cold pass. `smoke` writes
-# results/BENCH_serving_smoke.json.
+# target/bench-smoke/BENCH_serving_smoke.json.
 serve_out="$(cargo run --release -q -p otif-bench --bin serving smoke)"
 echo "$serve_out" | grep -q 'answers byte-identical: true'
 # CLI round-trip over the same store machinery
@@ -91,7 +96,7 @@ echo "== robustness smoke (crash-point ingest recovery + overload shed gates)"
 # ingest sweep recovers via fsck/journal replay with zero acknowledged
 # loss and byte-identical answers; under a saturating burst some queries
 # shed and every non-shed answer matches the unloaded reference. `smoke`
-# writes results/BENCH_robustness_smoke.json.
+# writes target/bench-smoke/BENCH_robustness_smoke.json.
 robust_out="$(cargo run --release -q -p otif-bench --bin robustness smoke)"
 echo "$robust_out" | grep -q 'non-degraded answers identical: true'
 # CLI round-trip: corrupt a clip payload, fsck refuses without --repair,
@@ -132,8 +137,8 @@ assert s["quarantined_clips"] == 1, s
 PY
 
 echo "== scheduler smoke (64 streams on a 4-worker pool: thread cap + worker-count determinism)"
-# The task engine runs every stream as four resumable state machines on
-# a fixed worker pool: 64 streams must finish on 4 OS worker threads
+# The task engine runs every stream as one resumable task on a fixed
+# worker pool: 64 streams must finish on 4 OS worker threads
 # (peak_os_threads stays ≤ workers + slack for the main thread and the
 # stall watchdog), and re-running on 1 worker must produce
 # byte-identical tracks. Hard wall-clock cap: a wedged pool must fail
@@ -154,7 +159,7 @@ assert s["workers"] == 4, s["workers"]
 assert s["streams"] == 64, s["streams"]
 assert s["failed_clips"] == 0, s["failed_clips"]
 assert s["peak_os_threads"] <= 4 + 4, s["peak_os_threads"]
-assert s["peak_runnable_tasks"] <= 4 * 64, s["peak_runnable_tasks"]
+assert s["peak_runnable_tasks"] <= 64, s["peak_runnable_tasks"]
 print(f"  64 streams on 4 workers: peak {s['peak_os_threads']} OS threads, "
       f"peak {s['peak_runnable_tasks']} runnable tasks, tracks identical on 1 worker")
 PY
@@ -184,5 +189,11 @@ timeout 300 cargo run --release -q --bin otif-cli -- execute \
 cmp "$tmp/tracks-batched.json" "$tmp/tracks-resumed.json"
 grep -q '"resumed_clips_skipped":1' "$tmp/stats-resumed.json"
 grep -q '"resumed_clips_recomputed":1' "$tmp/stats-resumed.json"
+
+echo "== smokes left the tracked results/ untouched"
+if [ "$(results_state)" != "$results_before" ]; then
+  git status --short -- results/
+  echo "a smoke step wrote to results/"; exit 1
+fi
 
 echo "All checks passed."
