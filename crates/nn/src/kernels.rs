@@ -1,21 +1,37 @@
-//! Fast numeric kernels: im2col + cache-blocked GEMM convolution,
+//! Fast numeric kernels: im2col + register-tiled GEMM convolution,
 //! blocked matmul/matvec, and a thread-local scratch arena for
 //! zero-allocation inference paths.
 //!
 //! Every fast kernel here accumulates in **exactly the same order** as
 //! its naive reference (`k` strictly increasing per output element, the
-//! bias seeded first), so the fast paths are bit-identical to the plain
-//! nested loops — the speedup comes from removing per-element bounds
-//! checks and branches, streaming over contiguous rows the compiler can
-//! vectorize, and blocking for cache reuse, never from re-associating
+//! bias seeded first), so the fast paths reproduce the plain nested
+//! loops — the speedup comes from removing per-element bounds checks
+//! and branches, keeping accumulators in registers and using SIMD lanes
+//! across *independent* output elements, never from re-associating
 //! floating-point sums. That property is what lets [`crate::Conv2d`]
 //! switch paths by problem size without perturbing training
 //! trajectories, and what keeps parallel evaluation byte-identical to
 //! sequential evaluation downstream.
 //!
+//! **AVX2 path.** On x86-64 CPUs with AVX2 (detected at run time; std
+//! caches the CPUID probe) the GEMM runs as an up-to-6×16
+//! register-tiled micro-kernel that holds its C tile in registers for
+//! the whole `k` loop, and stride-2 convolutions never build the im2col
+//! matrix: their B vectors are even-lane shuffles of a zero-bordered
+//! copy of the input. Each lane of each accumulator still adds its
+//! `a·b` terms in strictly increasing `p`, as a separate multiply then
+//! add (`_mm256_mul_ps` + `_mm256_add_ps`): a fused multiply-add rounds
+//! once instead of twice and would change bits, so the kernels never
+//! use FMA. Other CPUs run the portable code, which also stays public
+//! as the oracle the AVX2 path is tested against ([`matmul_portable`],
+//! [`conv2d_gemm_portable`]).
+//!
 //! The naive references stay exported ([`conv2d_naive`],
 //! [`matmul_naive`]) as the oracle the proptest equivalence suite and
-//! the `kernels` bench bin compare against.
+//! the `kernels` bench bin compare against. A GEMM convolution adds an
+//! exact `w·0.0` for every padding tap that the naive loop skips, so
+//! the two agree under `==` but may differ in the sign of a zero; GEMM
+//! paths agree with one another bit for bit.
 
 use crate::tensor::{BatchTensor3, Tensor3};
 use std::cell::RefCell;
@@ -45,6 +61,15 @@ impl Scratch {
     /// small temporaries never consume the large im2col buffers; when
     /// nothing fits, the largest buffer is grown in place.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
+        let mut v = self.take_unzeroed(len);
+        v.fill(0.0);
+        v
+    }
+
+    /// [`Self::take`] without the zero pass: the buffer holds stale
+    /// values from its last use (only a grown tail is zeroed), so the
+    /// caller must overwrite every element before reading any.
+    pub fn take_unzeroed(&mut self, len: usize) -> Vec<f32> {
         let mut best: Option<(usize, usize)> = None; // (index, capacity)
         for (i, v) in self.pool.iter().enumerate() {
             let cap = v.capacity();
@@ -69,7 +94,6 @@ impl Scratch {
             Some((i, _)) => self.pool.swap_remove(i),
             None => Vec::new(),
         };
-        v.clear();
         v.resize(len, 0.0);
         v
     }
@@ -98,6 +122,12 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// Take a zeroed buffer from this thread's scratch pool.
 pub fn take_buf(len: usize) -> Vec<f32> {
     with_scratch(|s| s.take(len))
+}
+
+/// Take a buffer with stale contents from this thread's scratch pool
+/// (see [`Scratch::take_unzeroed`]).
+pub fn take_buf_unzeroed(len: usize) -> Vec<f32> {
+    with_scratch(|s| s.take_unzeroed(len))
 }
 
 /// Return a buffer to this thread's scratch pool.
@@ -146,16 +176,60 @@ pub fn matmul_naive(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     }
 }
 
-/// Column-tile width for [`matmul_blocked`]: 1024 f32 ≈ 4 KiB per B row,
-/// so a full k-strip of B tiles stays L1/L2-resident for typical k.
+/// Proof that the running CPU has AVX2: only [`Avx2::detect`] builds
+/// one, so holding a value is what makes the AVX2 kernels safe to call.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Avx2(());
+
+impl Avx2 {
+    /// `Some` iff this CPU supports AVX2 (std caches the CPUID probe, so
+    /// this is one atomic load after the first call).
+    #[inline]
+    fn detect() -> Option<Avx2> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Some(Avx2(()));
+        }
+        None
+    }
+}
+
+/// Matmul `c[m][n] += Σ_k a[m][k] · b[k][n]` on the fastest kernel this
+/// CPU runs: the AVX2 register-tiled GEMM where available, else
+/// [`matmul_portable`]. Bit-identical to [`matmul_naive`] either way.
+pub fn matmul_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_with(Avx2::detect(), a, b, c, m, k, n);
+}
+
+fn matmul_with(
+    simd: Option<Avx2>,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match simd {
+        #[cfg(target_arch = "x86_64")]
+        Some(cpu) => avx2::matmul(cpu, a, b, c, m, k, n),
+        _ => matmul_portable(a, b, c, m, k, n),
+    }
+}
+
+/// Column-tile width for [`matmul_portable`]: 1024 f32 ≈ 4 KiB per B
+/// row, so a full k-strip of B tiles stays L1/L2-resident for typical k.
 const GEMM_N_BLOCK: usize = 1024;
 
-/// Cache-blocked matmul: `c[m][n] += Σ_k a[m][k] · b[k][n]`.
+/// Portable cache-blocked matmul: `c[m][n] += Σ_k a[m][k] · b[k][n]`.
+/// The fallback on CPUs without AVX2 and the oracle the AVX2 kernel is
+/// tested and benchmarked against.
 ///
 /// Loop order is `i, jj, p, j` (an axpy over each B-row tile), which
 /// keeps every inner access contiguous and accumulates each `c[i][j]`
 /// in strictly increasing `p` — bit-identical to [`matmul_naive`].
-pub fn matmul_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+pub fn matmul_portable(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "matmul A shape");
     assert_eq!(b.len(), k * n, "matmul B shape");
     assert_eq!(c.len(), m * n, "matmul C shape");
@@ -174,6 +248,645 @@ pub fn matmul_blocked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
             }
             jj += jw;
         }
+    }
+}
+
+/// The AVX2 kernels. Each safe entry point takes the [`Avx2`] token,
+/// asserts the slice bounds its unsafe body relies on, and calls a
+/// `#[target_feature(enable = "avx2")]` body.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Avx2, ConvShape};
+    use std::arch::x86_64::*;
+
+    /// Most rows in one register tile: 6 rows × 2 vectors = 12
+    /// accumulators, plus two B vectors and a broadcast, fill the 16
+    /// ymm registers.
+    const MR: usize = 6;
+    /// Columns in one register tile (two 8-lane vectors).
+    const NR: usize = 16;
+
+    /// AVX2 [`super::matmul_blocked`].
+    pub(super) fn matmul(
+        _cpu: Avx2,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        assert_eq!(a.len(), m * k, "matmul A shape");
+        assert_eq!(b.len(), k * n, "matmul B shape");
+        assert_eq!(c.len(), m * n, "matmul C shape");
+        // SAFETY: the `Avx2` token exists only once AVX2 was detected,
+        // and the three asserts above are the shapes `matmul_tiles`
+        // requires.
+        unsafe { matmul_tiles(a, b, c, m, k, n) }
+    }
+
+    /// Split `m` rows into `⌈m / 6⌉` near-equal register tiles (8 rows
+    /// run as 4 + 4, not 6 + 2) and call `f(first_row, rows)` for each.
+    #[inline]
+    fn row_tiles(m: usize, mut f: impl FnMut(usize, usize)) {
+        let tiles = m.div_ceil(MR);
+        let mut i = 0;
+        for t in 0..tiles {
+            let rows = (m - i).div_ceil(tiles - t);
+            f(i, rows);
+            i += rows;
+        }
+    }
+
+    /// Walk C in 16-column panels and each panel in row tiles, so each
+    /// k × 16 B panel is loaded from L1 once per row tile.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2, `a.len() == m·k`, `b.len() == k·n` and
+    /// `c.len() == m·n`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn matmul_tiles(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        for j in (0..n).step_by(NR) {
+            let cols = NR.min(n - j);
+            row_tiles(m, |i, rows| {
+                // SAFETY: `i + rows <= m` and `j + cols <= n`, so rows
+                // `i..i + rows` of A (k floats each), columns
+                // `j..j + cols` of every B row and of C rows
+                // `i..i + rows` lie inside the asserted shapes; every
+                // offset formed here is at most one past the end.
+                unsafe {
+                    let (ta, tb, tc) = (a.add(i * k), b.add(j), c.add(i * n + j));
+                    match rows {
+                        1 => tile::<1>(ta, tb, tc, k, n, cols),
+                        2 => tile::<2>(ta, tb, tc, k, n, cols),
+                        3 => tile::<3>(ta, tb, tc, k, n, cols),
+                        4 => tile::<4>(ta, tb, tc, k, n, cols),
+                        5 => tile::<5>(ta, tb, tc, k, n, cols),
+                        _ => tile::<6>(ta, tb, tc, k, n, cols),
+                    }
+                }
+            });
+        }
+    }
+
+    /// Lanes `0..8` of `MASKS[8 - c..]` are all-ones exactly for the
+    /// first `c` lanes.
+    const MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// A load/store mask selecting the first `c <= 8` lanes.
+    #[target_feature(enable = "avx2")]
+    fn lane_mask(c: usize) -> __m256i {
+        let tail = &MASKS[8 - c.min(8)..][..8];
+        // SAFETY: `tail` is 8 `i32`s, exactly one 256-bit load.
+        unsafe { _mm256_loadu_si256(tail.as_ptr().cast()) }
+    }
+
+    /// One `R × cols` register tile, `cols <= 16`:
+    /// `c[r][j] += Σ_p a[r][p] · b[p][j]`, each lane adding its terms in
+    /// increasing `p`, multiply then add. A full 16-column tile uses
+    /// plain loads; a narrower one masked loads and stores, so the
+    /// partial panel at `n mod 16` runs the same vector code.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2; `a` addresses R rows of `k` floats (row
+    /// stride `k`); `b` addresses `k` rows and `c` R rows of at least
+    /// `cols` floats each, both with row stride `n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<const R: usize>(
+        a: *const f32,
+        b: *const f32,
+        c: *mut f32,
+        k: usize,
+        n: usize,
+        cols: usize,
+    ) {
+        let mut lo = [_mm256_setzero_ps(); R];
+        let mut hi = [_mm256_setzero_ps(); R];
+        if cols == NR {
+            // SAFETY: all 16 columns of every addressed row are in
+            // bounds (caller contract).
+            unsafe {
+                for r in 0..R {
+                    lo[r] = _mm256_loadu_ps(c.add(r * n));
+                    hi[r] = _mm256_loadu_ps(c.add(r * n + 8));
+                }
+                for p in 0..k {
+                    let b_lo = _mm256_loadu_ps(b.add(p * n));
+                    let b_hi = _mm256_loadu_ps(b.add(p * n + 8));
+                    for r in 0..R {
+                        let av = _mm256_set1_ps(*a.add(r * k + p));
+                        lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, b_lo));
+                        hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, b_hi));
+                    }
+                }
+                for r in 0..R {
+                    _mm256_storeu_ps(c.add(r * n), lo[r]);
+                    _mm256_storeu_ps(c.add(r * n + 8), hi[r]);
+                }
+            }
+        } else {
+            // The high half starts at column `min(cols, 8)`: in bounds
+            // (at most one past a row's last valid column), and its mask
+            // is empty when `cols <= 8`.
+            let off = cols.min(8);
+            let (m_lo, m_hi) = (lane_mask(cols), lane_mask(cols - off));
+            // SAFETY: masked lanes are neither read nor written, and the
+            // unmasked ones are columns `< cols` of addressed rows (caller
+            // contract); every pointer formed is at most one past a row.
+            unsafe {
+                for r in 0..R {
+                    lo[r] = _mm256_maskload_ps(c.add(r * n), m_lo);
+                    hi[r] = _mm256_maskload_ps(c.add(r * n + off), m_hi);
+                }
+                for p in 0..k {
+                    let b_lo = _mm256_maskload_ps(b.add(p * n), m_lo);
+                    let b_hi = _mm256_maskload_ps(b.add(p * n + off), m_hi);
+                    for r in 0..R {
+                        let av = _mm256_set1_ps(*a.add(r * k + p));
+                        lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(av, b_lo));
+                        hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(av, b_hi));
+                    }
+                }
+                for r in 0..R {
+                    _mm256_maskstore_ps(c.add(r * n), m_lo, lo[r]);
+                    _mm256_maskstore_ps(c.add(r * n + off), m_hi, hi[r]);
+                }
+            }
+        }
+    }
+
+    /// AVX2 stride-2 convolution: fills `out` (`out_ch × items·oh·ow`)
+    /// with the bias plus `Σ_p weight[oc][p] · col[p][j]`, where `col`
+    /// is [`super::im2col`]'s matrix, each sum formed exactly as
+    /// [`matmul_tiles`] forms it on a bias-seeded C.
+    ///
+    /// Each input plane is first copied into a zero-bordered staging
+    /// plane, so that every im2col value is an unconditional even-lane
+    /// pick from a staged row. Layers with output rows of 4 or more never
+    /// build the im2col matrix: [`direct`] makes each B vector on the
+    /// fly. Narrower layers (the last layers of small windows) fill it
+    /// with [`gather_table`] and run the GEMM.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn conv_stride2(
+        _cpu: Avx2,
+        shape: &ConvShape,
+        weight: &[f32],
+        bias: &[f32],
+        data: &[f32],
+        items: usize,
+        (h, w): (usize, usize),
+        out: &mut [f32],
+    ) {
+        let (k, pad) = (shape.ksize, shape.pad);
+        let (oh, ow) = shape.out_size(h, w);
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        assert!(
+            shape.stride == 2 && shape.in_ch >= 1 && k >= 1 && hp >= k && wp >= k,
+            "stride-2 conv geometry"
+        );
+        let kk = shape.in_ch * k * k;
+        assert_eq!(weight.len(), shape.out_ch * kk, "conv weight shape");
+        assert_eq!(bias.len(), shape.out_ch, "conv bias shape");
+        assert_eq!(data.len(), shape.in_ch * items * h * w, "conv input shape");
+        assert_eq!(out.len(), shape.out_ch * items * oh * ow, "conv out shape");
+        if out.is_empty() {
+            return;
+        }
+        // SAFETY: the token proves AVX2. `direct` and `gather_table`
+        // check their own bounds from the shapes asserted here.
+        unsafe { conv_stride2_body(shape, weight, bias, data, items, (h, w), out) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    fn conv_stride2_body(
+        shape: &ConvShape,
+        weight: &[f32],
+        bias: &[f32],
+        data: &[f32],
+        items: usize,
+        (h, w): (usize, usize),
+        out: &mut [f32],
+    ) {
+        let (oh, ow) = shape.out_size(h, w);
+        let (m, pad) = (shape.out_ch, shape.pad);
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let n = items * oh * ow;
+        // The direct path stages and convolves a block of items at a
+        // time, sized so that the block's staged input and output stay
+        // in L1 (a whole 12-window batch would not).
+        let per_item = shape.in_ch * hp * wp + m * oh * ow;
+        let block = if ow >= 4 {
+            (L1_FLOATS / per_item).clamp(1, items)
+        } else {
+            items
+        };
+        let mut stage = super::take_buf_unzeroed(shape.in_ch * block * hp * wp + 16);
+        for first in (0..items).step_by(block) {
+            let count = block.min(items - first);
+            // Channel `ic` of item `first + i` becomes staged plane
+            // `ic·count + i`; then 16 floats of zero slack, since the last
+            // row's final 16-float load may run up to 15 floats past its
+            // staged plane.
+            let staged = shape.in_ch * count * hp * wp;
+            let stage = &mut stage[..staged + 16];
+            stage[staged..].fill(0.0);
+            for ic in 0..shape.in_ch {
+                let src = &data[(ic * items + first) * h * w..][..count * h * w];
+                let dst = &mut stage[ic * count * hp * wp..][..count * hp * wp];
+                for (src, dst) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(hp * wp)) {
+                    let (top, rest) = dst.split_at_mut(pad * wp);
+                    let (mid, bottom) = rest.split_at_mut(h * wp);
+                    top.fill(0.0);
+                    bottom.fill(0.0);
+                    for (s_row, d_row) in src.chunks_exact(w).zip(mid.chunks_exact_mut(wp)) {
+                        stage_row(s_row, d_row, pad);
+                    }
+                }
+            }
+            let geom = Staged {
+                items: count,
+                out: (oh, ow),
+                padded: (hp, wp),
+            };
+            let cols = (n, first * oh * ow);
+            if ow >= 4 && m <= 3 {
+                // few rows: three groups per tile keep 3·rows independent
+                // sums in flight to hide the add latency (four would
+                // spill: 12 sums + 4 B vectors + a broadcast and a
+                // product exceed the 16 ymm registers)
+                direct::<3>(shape, weight, bias, stage, geom, out, cols);
+            } else if ow >= 4 {
+                direct::<2>(shape, weight, bias, stage, geom, out, cols);
+            } else {
+                let kk = shape.in_ch * shape.ksize * shape.ksize;
+                let mut col = super::take_buf_unzeroed(kk * n);
+                gather_table(shape, stage, geom, &mut col);
+                for (row, b) in out.chunks_exact_mut(n).zip(bias) {
+                    row.fill(*b);
+                }
+                // SAFETY: AVX2 is enabled here; `weight` is `m × kk` and
+                // `out` is `m × n` (asserted by `conv_stride2`), `col` was
+                // sized `kk × n` above (one block holds every item).
+                unsafe { matmul_tiles(weight, &col, out, m, kk, n) };
+                super::put_buf(col);
+            }
+        }
+        super::put_buf(stage);
+    }
+
+    /// Floats of staged input plus output that one block of
+    /// [`direct`] works on: 32 KiB, a typical L1 data cache.
+    const L1_FLOATS: usize = 8 * 1024;
+
+    /// Geometry of the staged input of a stride-2 layer.
+    #[derive(Clone, Copy)]
+    struct Staged {
+        /// Items stacked per channel.
+        items: usize,
+        /// Output rows and columns per item.
+        out: (usize, usize),
+        /// Staged (zero-bordered) plane rows and columns.
+        padded: (usize, usize),
+    }
+
+    /// `dst = [0; pad] ++ src ++ [0; pad]`, inlined: a `memcpy` and two
+    /// `memset` calls per 4–32 float row would cost more than the row.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn stage_row(src: &[f32], dst: &mut [f32], pad: usize) {
+        let (left, rest) = dst.split_at_mut(pad);
+        let (mid, right) = rest.split_at_mut(src.len());
+        for edge in [left, right] {
+            if edge.len() <= 8 {
+                // SAFETY: the mask enables only the first `edge.len()`
+                // lanes, all inside `edge`.
+                unsafe {
+                    _mm256_maskstore_ps(
+                        edge.as_mut_ptr(),
+                        lane_mask(edge.len()),
+                        _mm256_setzero_ps(),
+                    )
+                };
+            } else {
+                edge.fill(0.0);
+            }
+        }
+        let mut to = mid.chunks_exact_mut(8);
+        let mut from = src.chunks_exact(8);
+        for (d, s) in (&mut to).zip(&mut from) {
+            // SAFETY: `s` and `d` are exactly 8 floats each.
+            unsafe { _mm256_storeu_ps(d.as_mut_ptr(), _mm256_loadu_ps(s.as_ptr())) };
+        }
+        let (d, s) = (to.into_remainder(), from.remainder());
+        let mask = lane_mask(s.len());
+        // SAFETY: the mask enables only the first `s.len() == d.len()`
+        // lanes, inside both slices.
+        unsafe { _mm256_maskstore_ps(d.as_mut_ptr(), mask, _mm256_maskload_ps(s.as_ptr(), mask)) };
+    }
+
+    /// `[a[0], a[2], a[4], a[6], b[0], b[2], b[4], b[6]]`.
+    ///
+    /// # Safety
+    /// AVX2, and 8 floats readable at each of `a` and `b`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn even_lanes(a: *const f32, b: *const f32) -> __m256 {
+        // SAFETY: 8 readable floats at each (caller contract).
+        let (v0, v1) = unsafe { (_mm256_loadu_ps(a), _mm256_loadu_ps(b)) };
+        // Even lanes per 128-bit half: [v0₀ v0₂ v1₀ v1₂ | v0₄ v0₆ v1₄ v1₆];
+        // then swap the middle 64-bit pairs into v0's evens, v1's evens.
+        let evens = _mm256_shuffle_ps::<0b10_00_10_00>(v0, v1);
+        _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(
+            evens,
+        )))
+    }
+
+    /// Up to eight consecutive im2col columns, the vector lane unit of
+    /// [`direct`], as two halves of at most four outputs, each within
+    /// one output row: `(item, oy, ox0..ox0 + 8)` of a row of 5 or more,
+    /// or two whole consecutive rows when rows are 4 wide.
+    #[derive(Clone, Copy)]
+    struct Group {
+        /// For each half, the offset of its first output's tap-(0, 0)
+        /// input in the staged planes of input channel 0.
+        src: [usize; 2],
+        /// Its first im2col column, `(item·oh + oy)·ow + ox0`.
+        col: usize,
+        /// Outputs it holds (at most 8).
+        lanes: usize,
+    }
+
+    /// The stride-2 GEMM with the im2col matrix left implicit, for output
+    /// rows of 4 or more: the B vector of tap `p = (ic, ky, kx)` for a
+    /// lane group is [`even_lanes`] of the staged input at its halves'
+    /// offsets plus the tap's. Groups are taken `G` at a time into tiles
+    /// in column order (a tile may straddle rows or items, and the last
+    /// one is padded with empty groups), and each tile runs through the
+    /// row tiles of [`matmul_tiles`]. This block's outputs are columns
+    /// `first_col..` of the `m × n` matrix `out`.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    fn direct<const G: usize>(
+        shape: &ConvShape,
+        weight: &[f32],
+        bias: &[f32],
+        stage: &[f32],
+        geom: Staged,
+        out: &mut [f32],
+        (n, first_col): (usize, usize),
+    ) {
+        let Staged {
+            items,
+            out: (oh, ow),
+            padded: (hp, wp),
+        } = geom;
+        let (m, k) = (shape.out_ch, shape.ksize);
+        let (kk, plane) = (shape.in_ch * k * k, hp * wp);
+        assert!(ow >= 4, "direct stride-2 row width");
+        let groups_per_row = ow.div_ceil(8);
+        // The furthest read: last channel's tap (k-1, k-1) of the last
+        // group's second half, 8 floats from there.
+        let last_tap = (shape.in_ch - 1) * items * plane + (k - 1) * (wp + 1);
+        let last_row = (items - 1) * plane + 2 * (oh - 1) * wp;
+        let last_half = last_row
+            + if ow == 4 {
+                0
+            } else {
+                16 * (groups_per_row - 1) + 8
+            };
+        assert!(
+            last_tap + last_half + 8 <= stage.len(),
+            "staged input too short"
+        );
+        assert!(
+            weight.len() == m * kk && bias.len() == m && out.len() == m * n,
+            "conv shapes"
+        );
+        assert!(
+            first_col + items * oh * ow <= n,
+            "output block out of range"
+        );
+        let taps = Taps {
+            in_ch: shape.in_ch,
+            k,
+            channel: items * plane,
+            row: wp,
+        };
+        let (wt, bs, st) = (weight.as_ptr(), bias.as_ptr(), stage.as_ptr());
+        let c = out[first_col..].as_mut_ptr();
+        let run = |gs: [Group; G]| {
+            row_tiles(m, |i, rows| {
+                // SAFETY: AVX2 is enabled here. Rows `i..i + rows` of the
+                // `m × kk` weights, the `m` biases and the `m × n` output
+                // exist; each group's columns `first_col + col..+ lanes`
+                // lie within `n`; and every B read, 8 floats from at most
+                // `last_tap + last_half`, is inside `stage` (asserted above).
+                unsafe {
+                    let (w, b) = (wt.add(i * kk), bs.add(i));
+                    let s = gs.map(|g| g.src.map(|h| st.add(h)));
+                    let cs = gs.map(|g| c.add(i * n + g.col));
+                    let lanes = gs.map(|g| g.lanes);
+                    match rows {
+                        1 => conv_tile::<1, G>(w, b, kk, taps, s, cs, n, lanes),
+                        2 => conv_tile::<2, G>(w, b, kk, taps, s, cs, n, lanes),
+                        3 => conv_tile::<3, G>(w, b, kk, taps, s, cs, n, lanes),
+                        4 => conv_tile::<4, G>(w, b, kk, taps, s, cs, n, lanes),
+                        5 => conv_tile::<5, G>(w, b, kk, taps, s, cs, n, lanes),
+                        _ => conv_tile::<6, G>(w, b, kk, taps, s, cs, n, lanes),
+                    }
+                }
+            })
+        };
+        let empty = Group {
+            src: [0; 2],
+            col: 0,
+            lanes: 0,
+        };
+        let mut tile = [empty; G];
+        let mut filled = 0;
+        let mut emit = |g: Group| {
+            tile[filled] = g;
+            filled += 1;
+            if filled == G {
+                run(tile);
+                filled = 0;
+            }
+        };
+        let rows = items * oh;
+        let row_src = |row: usize| (row / oh) * plane + 2 * (row % oh) * wp;
+        if ow != 4 {
+            for row in 0..rows {
+                for x in 0..groups_per_row {
+                    let src = row_src(row) + 16 * x;
+                    emit(Group {
+                        src: [src, src + 8],
+                        col: row * ow + 8 * x,
+                        lanes: (ow - 8 * x).min(8),
+                    });
+                }
+            }
+        } else {
+            for row in (0..rows).step_by(2) {
+                let next = (row + 1).min(rows - 1);
+                emit(Group {
+                    src: [row_src(row), row_src(next)],
+                    col: row * 4,
+                    lanes: 4 * (next - row + 1),
+                });
+            }
+        }
+        if filled > 0 {
+            tile[filled..].fill(empty);
+            run(tile);
+        }
+    }
+
+    /// Where tap `(ic, ky, kx)` sits relative to a group's source
+    /// offset: `ic·channel + ky·row + kx`.
+    #[derive(Clone, Copy)]
+    struct Taps {
+        in_ch: usize,
+        k: usize,
+        /// Staged floats per input channel (all items).
+        channel: usize,
+        /// Staged row length.
+        row: usize,
+    }
+
+    /// One `R`-row × `G`-group tile of [`direct`]: like [`tile`], each
+    /// lane adds `w[r][p] · b` in increasing `p`, multiply then add, onto
+    /// its bias, but B comes from the staged input and C is written
+    /// once, through lane masks.
+    ///
+    /// # Safety
+    /// AVX2; `w` addresses R rows of `kk` weights (row stride `kk`) and
+    /// `bias` R floats; for each group `g`, `c[g]` addresses R rows
+    /// (stride `n`) of at least `lanes[g] <= 8` floats, and 8 floats are
+    /// readable at both halves of `s[g]` plus every tap offset of `taps`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn conv_tile<const R: usize, const G: usize>(
+        w: *const f32,
+        bias: *const f32,
+        kk: usize,
+        taps: Taps,
+        s: [[*const f32; 2]; G],
+        c: [*mut f32; G],
+        n: usize,
+        lanes: [usize; G],
+    ) {
+        // SAFETY: every pointer below is covered by the caller contract;
+        // masked-off lanes of C are not written.
+        unsafe {
+            let mut acc = [[_mm256_setzero_ps(); R]; G];
+            for a in &mut acc {
+                for (r, v) in a.iter_mut().enumerate() {
+                    *v = _mm256_set1_ps(*bias.add(r));
+                }
+            }
+            let mut p = 0;
+            for ic in 0..taps.in_ch {
+                for ky in 0..taps.k {
+                    for kx in 0..taps.k {
+                        let o = ic * taps.channel + ky * taps.row + kx;
+                        let b = s.map(|[h0, h1]| even_lanes(h0.add(o), h1.add(o)));
+                        // (indexed: every group shares row r's broadcast)
+                        #[allow(clippy::needless_range_loop)]
+                        for r in 0..R {
+                            let av = _mm256_set1_ps(*w.add(r * kk + p));
+                            for g in 0..G {
+                                acc[g][r] = _mm256_add_ps(acc[g][r], _mm256_mul_ps(av, b[g]));
+                            }
+                        }
+                        p += 1;
+                    }
+                }
+            }
+            for ((a, cg), l) in acc.iter().zip(c).zip(lanes) {
+                let mask = lane_mask(l);
+                for (r, v) in a.iter().enumerate() {
+                    _mm256_maskstore_ps(cg.add(r * n), mask, *v);
+                }
+            }
+        }
+    }
+
+    /// The im2col matrix of a stride-2 layer whose output rows are
+    /// narrower than 4, from the staged input. One table holds, for
+    /// every im2col column, its offset from the tap's origin in the
+    /// staged planes, the same for every tap. Each im2col row is then a
+    /// run of 8-lane hardware gathers across row and item boundaries,
+    /// with no per-row work at all.
+    #[target_feature(enable = "avx2")]
+    fn gather_table(shape: &ConvShape, stage: &[f32], geom: Staged, col: &mut [f32]) {
+        let Staged {
+            items,
+            out: (oh, ow),
+            padded: (hp, wp),
+        } = geom;
+        let (k, plane) = (shape.ksize, hp * wp);
+        let cols = items * oh * ow;
+        assert_eq!(col.len(), shape.in_ch * k * k * cols, "im2col shape");
+        // offsets are stored as f32, exact below 2^24, and gathered as i32
+        assert!(
+            stage.len() < 1 << 24,
+            "staged input too large for f32 offsets"
+        );
+        let mut offs = super::take_buf_unzeroed(cols.next_multiple_of(8));
+        let mut next = offs.iter_mut();
+        for i in 0..items {
+            for oy in 0..oh {
+                for (ox, o) in (0..ow).zip(&mut next) {
+                    *o = (i * plane + 2 * oy * wp + 2 * ox) as f32;
+                }
+            }
+        }
+        // the padding lanes gather the tap's origin, then go unstored
+        next.for_each(|o| *o = 0.0);
+        let last_tap = (shape.in_ch - 1) * items * plane + (k - 1) * (wp + 1);
+        let last_off = (items - 1) * plane + 2 * (oh - 1) * wp + 2 * (ow - 1);
+        assert!(
+            last_tap + last_off < stage.len(),
+            "gather offsets out of range"
+        );
+        let mut rows = col.chunks_exact_mut(cols);
+        for ic in 0..shape.in_ch {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let dst = rows.next().expect("one im2col row per tap");
+                    let base = stage[(ic * items) * plane + ky * wp + kx..].as_ptr();
+                    let gather = |o: &[f32]| {
+                        // SAFETY: `o` is 8 floats; each holds an offset
+                        // `<= last_off`, and the origin `base` is at most
+                        // `last_tap`, so every lane reads inside `stage`
+                        // (asserted above).
+                        unsafe {
+                            let vi = _mm256_cvttps_epi32(_mm256_loadu_ps(o.as_ptr()));
+                            _mm256_i32gather_ps::<4>(base, vi)
+                        }
+                    };
+                    let mut full = dst.chunks_exact_mut(8);
+                    let mut from = offs.chunks_exact(8);
+                    for (d, o) in (&mut full).zip(&mut from) {
+                        // SAFETY: `d` is exactly 8 floats.
+                        unsafe { _mm256_storeu_ps(d.as_mut_ptr(), gather(o)) };
+                    }
+                    let tail = full.into_remainder();
+                    if let Some(o) = from.next() {
+                        // SAFETY: the mask enables only the first
+                        // `tail.len()` lanes, all inside `tail`.
+                        unsafe {
+                            _mm256_maskstore_ps(tail.as_mut_ptr(), lane_mask(tail.len()), gather(o))
+                        };
+                    }
+                }
+            }
+        }
+        super::put_buf(offs);
     }
 }
 
@@ -220,13 +933,20 @@ pub enum KernelPath {
     Auto,
     /// The plain nested loops (reference oracle).
     Naive,
-    /// im2col + cache-blocked GEMM.
+    /// im2col + GEMM (AVX2 where the CPU has it).
     Gemm,
 }
 
-/// MAC threshold above which the GEMM path wins: below this the im2col
-/// materialization overhead dominates the branchy-loop savings.
-const GEMM_MIN_MACS: usize = 8 * 1024;
+/// MAC threshold from which the GEMM path wins, read off the `kernels`
+/// bench's crossover table on the AVX2 kernels (single items, the
+/// smallest problems `Auto` decides). A 1×1 layer skips im2col and wins
+/// from the smallest measured size: 48 MACs (`WindowNet`'s first decoder
+/// layer on a 1×1 map) naive 0.44 µs vs GEMM 0.12 µs, and the proxy's
+/// 168-MAC last decoder layer 1.49 vs 0.08 µs. A stride-2 3×3 layer wins
+/// at 108 MACs (0.48 vs 0.37 µs) and 576 (1.70 vs 1.37 µs). A stride-1
+/// 3×3 layer, which still builds an im2col matrix, loses at 36 MACs
+/// (0.13 vs 0.37 µs) and 9 (0.06 vs 0.32 µs).
+const GEMM_MIN_MACS: usize = 48;
 
 /// Resolve [`KernelPath::Auto`] for a given problem size.
 pub fn conv_path_for(shape: &ConvShape, h: usize, w: usize, path: KernelPath) -> KernelPath {
@@ -316,130 +1036,143 @@ pub fn conv2d_naive(
     }
 }
 
-/// Fill the im2col matrix for `x`: row `r = (ic·k + ky)·k + kx` holds,
-/// at column `oy·ow + ox`, the input value under kernel tap `(ky, kx)`
-/// for output position `(oy, ox)` — zero where the tap falls in the
-/// padding. `col` must be `in_ch·k² × oh·ow` and zeroed.
-fn im2col(shape: &ConvShape, x: &Tensor3, col: &mut [f32]) {
-    let (oh, ow) = shape.out_size(x.h, x.w);
-    let n = oh * ow;
-    let k = shape.ksize;
-    debug_assert_eq!(col.len(), shape.in_ch * k * k * n);
-    let mut r = 0usize;
-    for ic in 0..shape.in_ch {
-        let plane = &x.data[ic * x.h * x.w..(ic + 1) * x.h * x.w];
-        for ky in 0..k {
-            for kx in 0..k {
-                im2col_tap(
-                    shape,
-                    oh,
-                    ow,
-                    ky,
-                    kx,
-                    plane,
-                    x.h,
-                    x.w,
-                    &mut col[r * n..(r + 1) * n],
-                );
-                r += 1;
-            }
-        }
+/// Fill the im2col matrix of `items` stacked inputs (`data` is
+/// `C × N × H × W`, a single [`Tensor3`] being `N = 1`): row
+/// `r = (ic·k + ky)·k + kx` holds, at column `i·oh·ow + oy·ow + ox`, the
+/// value of item `i` under kernel tap `(ky, kx)` for output position
+/// `(oy, ox)`, and zero where the tap falls in the padding. Because
+/// [`BatchTensor3`] output data is laid out the same way, one GEMM over
+/// the widened column dimension computes every item's convolution with
+/// exactly the per-item accumulation order.
+///
+/// Every element of `col` is written, padding included, so `col` may
+/// hold stale values on entry. Unit-stride rows are slice copies, other
+/// strides a scalar loop. (On AVX2 CPUs stride-2 layers bypass this:
+/// see `avx2::conv_stride2`.)
+fn im2col(shape: &ConvShape, data: &[f32], items: usize, (h, w): (usize, usize), col: &mut [f32]) {
+    let (oh, ow) = shape.out_size(h, w);
+    let (k, s, pad) = (shape.ksize, shape.stride, shape.pad);
+    let cols = items * oh * ow;
+    assert_eq!(col.len(), shape.in_ch * k * k * cols, "im2col shape");
+    if cols == 0 {
+        return;
     }
-}
-
-/// Fill the `oh·ow` im2col columns of one kernel tap `(ky, kx)` from one
-/// contiguous `h × w` input plane. Shared by [`im2col`] and the batched
-/// variant — the fill is a pure copy, so factoring it cannot perturb
-/// bits.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn im2col_tap(
-    shape: &ConvShape,
-    oh: usize,
-    ow: usize,
-    ky: usize,
-    kx: usize,
-    plane: &[f32],
-    h: usize,
-    w: usize,
-    dst: &mut [f32],
-) {
-    let s = shape.stride;
-    let pad = shape.pad;
-    // valid ox range: 0 <= ox·s + kx − pad < w
-    let ox_lo = if kx >= pad { 0 } else { (pad - kx).div_ceil(s) };
-    let ox_hi = if w + pad > kx {
-        ((w + pad - kx - 1) / s + 1).min(ow)
-    } else {
-        0
-    };
-    for oy in 0..oh {
-        let iy = (oy * s + ky) as isize - pad as isize;
-        if iy < 0 || iy >= h as isize {
-            continue; // padding row: stays zero
-        }
-        let x_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-        let d_row = &mut dst[oy * ow..oy * ow + ow];
-        if s == 1 {
-            // contiguous: one slice copy
-            let ix_lo = ox_lo + kx - pad;
-            d_row[ox_lo..ox_hi].copy_from_slice(&x_row[ix_lo..ix_lo + (ox_hi - ox_lo)]);
-        } else {
-            for (ox, d) in d_row.iter_mut().enumerate().take(ox_hi).skip(ox_lo) {
-                *d = x_row[ox * s + kx - pad];
-            }
-        }
-    }
-}
-
-/// Fill the batched im2col matrix: row `r = (ic·k + ky)·k + kx` holds the
-/// per-item column blocks side by side — item `i`'s `oh·ow` columns at
-/// `[i·oh·ow, (i+1)·oh·ow)`. Because [`BatchTensor3`] output data is laid
-/// out the same way (`C × N × H × W`), one GEMM over the widened column
-/// dimension computes every item's convolution with exactly the
-/// per-item accumulation order. `col` must be `in_ch·k² × n·oh·ow` and
-/// zeroed.
-fn im2col_batched(shape: &ConvShape, x: &BatchTensor3, col: &mut [f32]) {
-    let (oh, ow) = shape.out_size(x.h, x.w);
-    let nsp = oh * ow;
-    let n = x.n * nsp;
-    let k = shape.ksize;
-    let plane_len = x.h * x.w;
-    debug_assert_eq!(col.len(), shape.in_ch * k * k * n);
-    let mut r = 0usize;
+    let mut rows = col.chunks_exact_mut(cols);
     for ic in 0..shape.in_ch {
         for ky in 0..k {
             for kx in 0..k {
-                let dst = &mut col[r * n..(r + 1) * n];
-                for i in 0..x.n {
-                    let plane = &x.data[(ic * x.n + i) * plane_len..][..plane_len];
-                    im2col_tap(
-                        shape,
-                        oh,
-                        ow,
-                        ky,
-                        kx,
-                        plane,
-                        x.h,
-                        x.w,
-                        &mut dst[i * nsp..(i + 1) * nsp],
-                    );
+                let dst = rows.next().expect("one im2col row per tap");
+                // valid ox range: 0 <= ox·s + kx − pad < w
+                let ox_lo = if kx >= pad { 0 } else { (pad - kx).div_ceil(s) }.min(ow);
+                let ox_hi = if w + pad > kx {
+                    ((w + pad - kx - 1) / s + 1).min(ow)
+                } else {
+                    0
                 }
-                r += 1;
+                .max(ox_lo);
+                for (i, item) in dst.chunks_exact_mut(oh * ow).enumerate() {
+                    let plane = &data[(ic * items + i) * h * w..][..h * w];
+                    for (oy, d_row) in item.chunks_exact_mut(ow).enumerate() {
+                        // wraps to >= h for a row above the input
+                        let iy = (oy * s + ky).wrapping_sub(pad);
+                        if iy >= h {
+                            d_row.fill(0.0);
+                            continue;
+                        }
+                        d_row[..ox_lo].fill(0.0);
+                        d_row[ox_hi..].fill(0.0);
+                        let d = &mut d_row[ox_lo..ox_hi];
+                        if d.is_empty() {
+                            continue;
+                        }
+                        let src = &plane[iy * w + ox_lo * s + kx - pad..];
+                        if s == 1 {
+                            d.copy_from_slice(&src[..d.len()]);
+                        } else {
+                            for (dv, sv) in d.iter_mut().zip(src.iter().step_by(s)) {
+                                *dv = *sv;
+                            }
+                        }
+                    }
+                }
             }
         }
     }
 }
 
-/// im2col + blocked-GEMM convolution. Same contract as
-/// [`conv2d_naive`] (pre-activation output, bias included) and
-/// bit-identical to it: the GEMM accumulates taps in the same strictly
-/// increasing order the nested loops visit them, and padding taps
-/// contribute exact `+ 0.0` terms.
+/// im2col + GEMM convolution of `items` stacked inputs (`C × N × H × W`)
+/// into `out` (`out_ch × N × oh × ow`, pre-activation, bias included).
+/// A 1×1 unit-stride unpadded layer skips im2col: its im2col matrix is
+/// its input. On AVX2 CPUs a stride-2 layer runs `avx2::conv_stride2`.
+#[allow(clippy::too_many_arguments)]
+fn conv_gemm(
+    simd: Option<Avx2>,
+    shape: &ConvShape,
+    weight: &[f32],
+    bias: &[f32],
+    data: &[f32],
+    items: usize,
+    (h, w): (usize, usize),
+    out: &mut [f32],
+) {
+    let (oh, ow) = shape.out_size(h, w);
+    let n = items * oh * ow;
+    if n == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if let Some(cpu) = simd {
+        let k = shape.ksize;
+        if shape.stride == 2 && h + 2 * shape.pad >= k && w + 2 * shape.pad >= k {
+            return avx2::conv_stride2(cpu, shape, weight, bias, data, items, (h, w), out);
+        }
+    }
+    let kk = shape.in_ch * shape.ksize * shape.ksize;
+    for (row, b) in out.chunks_exact_mut(n).zip(bias) {
+        row.fill(*b);
+    }
+    if shape.ksize == 1 && shape.stride == 1 && shape.pad == 0 {
+        return matmul_with(simd, weight, data, out, shape.out_ch, kk, n);
+    }
+    let mut col = take_buf_unzeroed(kk * n);
+    im2col(shape, data, items, (h, w), &mut col);
+    matmul_with(simd, weight, &col, out, shape.out_ch, kk, n);
+    put_buf(col);
+}
+
+/// im2col + GEMM convolution on the fastest kernels this CPU runs. Same
+/// contract as [`conv2d_naive`] (pre-activation output, bias included)
+/// and equal to it under `==`: the GEMM accumulates taps in the same
+/// strictly increasing order the nested loops visit them, and padding
+/// taps contribute exact `± 0.0` terms. Bit-identical to
+/// [`conv2d_gemm_portable`].
 ///
 /// The im2col matrix lives in the thread-local scratch pool, so the
 /// call performs no heap allocation after warm-up.
 pub fn conv2d_gemm(
+    shape: &ConvShape,
+    weight: &[f32],
+    bias: &[f32],
+    x: &Tensor3,
+    out: &mut Tensor3,
+) {
+    conv2d_gemm_with(Avx2::detect(), shape, weight, bias, x, out);
+}
+
+/// [`conv2d_gemm`] on the portable kernels only: the oracle and baseline
+/// for the AVX2 convolution and GEMM.
+pub fn conv2d_gemm_portable(
+    shape: &ConvShape,
+    weight: &[f32],
+    bias: &[f32],
+    x: &Tensor3,
+    out: &mut Tensor3,
+) {
+    conv2d_gemm_with(None, shape, weight, bias, x, out);
+}
+
+fn conv2d_gemm_with(
+    simd: Option<Avx2>,
     shape: &ConvShape,
     weight: &[f32],
     bias: &[f32],
@@ -453,15 +1186,16 @@ pub fn conv2d_gemm(
         (shape.out_ch, oh, ow),
         "conv out shape"
     );
-    let n = oh * ow;
-    let kk = shape.in_ch * shape.ksize * shape.ksize;
-    let mut col = take_buf(kk * n);
-    im2col(shape, x, &mut col);
-    for (row, b) in out.data.chunks_exact_mut(n).zip(bias) {
-        row.fill(*b);
-    }
-    matmul_blocked(weight, &col, &mut out.data, shape.out_ch, kk, n);
-    put_buf(col);
+    conv_gemm(
+        simd,
+        shape,
+        weight,
+        bias,
+        &x.data,
+        1,
+        (x.h, x.w),
+        &mut out.data,
+    );
 }
 
 /// Run the selected convolution path into `out` (pre-activation).
@@ -483,18 +1217,18 @@ pub fn conv2d(
 // batched convolution / matmul
 // ---------------------------------------------------------------------------
 
-/// Batched im2col + blocked-GEMM convolution over `x.n` same-shape
-/// items: **one** im2col buffer stacking every item's columns and
-/// **one** cache-blocked GEMM whose column dimension is
-/// `batch · oh · ow`, so the `out_ch × in_ch·k²` weight matrix is
-/// streamed once per *batch* instead of once per item.
+/// Batched im2col + GEMM convolution over `x.n` same-shape items:
+/// **one** im2col buffer stacking every item's columns and **one** GEMM
+/// whose column dimension is `batch · oh · ow`, so the
+/// `out_ch × in_ch·k²` weight matrix is streamed once per *batch*
+/// instead of once per item.
 ///
 /// Bit-identical to `x.n` separate [`conv2d_gemm`] calls: item `i`
 /// occupies columns `[i·oh·ow, (i+1)·oh·ow)` of both the im2col matrix
 /// and the output, so each output element accumulates its taps in
 /// exactly the per-item order (`p` strictly increasing, bias seeded
-/// first). The column-tile split of [`matmul_blocked`] never reorders
-/// accumulation, so where chunk boundaries fall is irrelevant to bits.
+/// first). The GEMM's column tiling never reorders accumulation, so
+/// where tile boundaries fall is irrelevant to bits.
 ///
 /// `out` must be pre-sized to `(x.n, out_ch, oh, ow)` and is fully
 /// overwritten with the pre-activation result.
@@ -512,19 +1246,16 @@ pub fn conv2d_gemm_batched(
         (x.n, shape.out_ch, oh, ow),
         "conv out shape"
     );
-    if x.n == 0 {
-        return;
-    }
-    let n = x.n * oh * ow;
-    let kk = shape.in_ch * shape.ksize * shape.ksize;
-    let mut col = take_buf(kk * n);
-    im2col_batched(shape, x, &mut col);
-    // C×N×H×W layout: each out channel's chunk holds every item's plane
-    for (row, b) in out.data.chunks_exact_mut(n).zip(bias) {
-        row.fill(*b);
-    }
-    matmul_blocked(weight, &col, &mut out.data, shape.out_ch, kk, n);
-    put_buf(col);
+    conv_gemm(
+        Avx2::detect(),
+        shape,
+        weight,
+        bias,
+        &x.data,
+        x.n,
+        (x.h, x.w),
+        &mut out.data,
+    );
 }
 
 /// Run the selected convolution path over a batch (pre-activation).
@@ -602,14 +1333,14 @@ pub fn matmul_batched(
         return;
     }
     let bn = batch * n;
-    let mut col = take_buf(k * bn);
+    let mut col = take_buf_unzeroed(k * bn);
     for p in 0..k {
         for i in 0..batch {
             col[p * bn + i * n..p * bn + (i + 1) * n]
                 .copy_from_slice(&bs[(i * k + p) * n..(i * k + p + 1) * n]);
         }
     }
-    let mut out = take_buf(m * bn);
+    let mut out = take_buf_unzeroed(m * bn);
     for r in 0..m {
         for i in 0..batch {
             out[r * bn + i * n..r * bn + (i + 1) * n]
