@@ -133,6 +133,34 @@ fn time_per_call(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Best-of-3 timing of `reps` calls each to `a` and `b`, interleaved
+/// call by call (alternating which goes first), in seconds per call of
+/// each. Clock and cache drift over the run land on both sides alike,
+/// so their ratio is steadier than two [`time_per_call`] blocks'.
+fn time_interleaved(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let (mut sum_a, mut sum_b) = (0.0, 0.0);
+        for rep in 0..reps {
+            if rep % 2 == 0 {
+                sum_a += time(&mut a);
+                sum_b += time(&mut b);
+            } else {
+                sum_b += time(&mut b);
+                sum_a += time(&mut a);
+            }
+        }
+        best_a = best_a.min(sum_a / reps.max(1) as f64);
+        best_b = best_b.min(sum_b / reps.max(1) as f64);
+    }
+    (best_a, best_b)
+}
+
 /// Deterministic values in `[-0.5, 0.5)`.
 fn fill(len: usize, salt: u64) -> Vec<f32> {
     let mut state = salt | 1;
@@ -331,22 +359,23 @@ fn bench_proxy_batched(
         );
     }
 
-    let looped = time_per_call(reps, || {
-        for img in &imgs {
-            model.infer_logits_into(img, KernelPath::Auto, &mut looped_out);
-        }
-    }) / batch as f64;
-    let batched = time_per_call(reps, || {
-        model.infer_logits_batched_into(&refs, KernelPath::Auto, &mut batched_out)
-    }) / batch as f64;
+    let (looped, batched) = time_interleaved(
+        reps,
+        || {
+            for img in &imgs {
+                model.infer_logits_into(img, KernelPath::Auto, &mut looped_out);
+            }
+        },
+        || model.infer_logits_batched_into(&refs, KernelPath::Auto, &mut batched_out),
+    );
     BatchedBench {
         shape: "proxy-window".to_string(),
         in_w: model.in_w,
         in_h: model.in_h,
         batch,
         reps,
-        looped_seconds_per_window: looped,
-        batched_seconds_per_window: batched,
+        looped_seconds_per_window: looped / batch as f64,
+        batched_seconds_per_window: batched / batch as f64,
         speedup_batched_over_looped: looped / batched,
     }
 }
@@ -377,22 +406,25 @@ fn bench_windownet_batched(window: (u32, u32), batch: usize, reps: usize) -> Bat
         );
     }
 
-    let looped = time_per_call(reps, || {
-        for x in &xs {
-            net.forward_into(x, &mut y);
-        }
-    }) / batch as f64;
-    let batched = time_per_call(reps, || {
-        let _ = net.forward_batched(&refs);
-    }) / batch as f64;
+    let (looped, batched) = time_interleaved(
+        reps,
+        || {
+            for x in &xs {
+                net.forward_into(x, &mut y);
+            }
+        },
+        || {
+            let _ = net.forward_batched(&refs);
+        },
+    );
     BatchedBench {
         shape: format!("yolo-window-{}x{}", window.0, window.1),
         in_w: iw,
         in_h: ih,
         batch,
         reps,
-        looped_seconds_per_window: looped,
-        batched_seconds_per_window: batched,
+        looped_seconds_per_window: looped / batch as f64,
+        batched_seconds_per_window: batched / batch as f64,
         speedup_batched_over_looped: looped / batched,
     }
 }

@@ -131,8 +131,8 @@ pub struct RunManifest {
     pub dataset_fingerprint: u64,
     /// Number of clips in the run.
     pub clips: usize,
-    /// Stream count (fixes the round-robin assignment and the batcher
-    /// watermark, hence the launch charges).
+    /// Stream count (fixes the round-robin assignment and which streams
+    /// batch together, hence the launch charges).
     pub streams: usize,
     /// Admitted-stream cap (fixes which streams batch together, hence
     /// the round sequence). Unlimited runs store the resolved value

@@ -17,10 +17,10 @@
 //! Determinism is the design constraint: every per-clip result is
 //! byte-identical to the sequential [`Pipeline`](otif_core::Pipeline),
 //! and all cost accounting is independent of scheduling interleaving —
-//! worker count included (the batcher flushes on a virtual-time
-//! watermark — a round completes when every live admitted stream has
-//! submitted — so round contents are a pure function of the per-stream
-//! submission sequences).
+//! worker count included (the batcher settles its rounds after the run
+//! from the per-stream ticket sequences — round *r* takes the next
+//! ticket of every live admitted stream — so round contents are a pure
+//! function of those sequences).
 //!
 //! The engine is fault-tolerant: every stream task is polled under a
 //! panic-isolating supervisor, a panicking stage step takes down at

@@ -7,16 +7,20 @@
 //! that runs decode → window → detect → track frame by frame. The
 //! `streams` tasks are polled by one fixed work-stealing worker pool
 //! ([`otif_core::evalpool::TaskPool`]) of [`EngineOptions::workers`] OS
-//! threads: a task waiting for its batcher round parks without holding
-//! a thread, so a thousand streams run on a handful of workers with
+//! threads, so a thousand streams run on a handful of workers with
 //! bounded memory (at most one frame in flight per stream).
 //! [`EngineOptions::max_active_streams`] adds admission control —
 //! deferred streams park behind the batcher's admission gate and are
 //! admitted (in stream order) as running streams finish. All streams
 //! share one [`DetectorBatcher`], which is the only cross-stream
-//! coupling; everything else is per-stream and therefore produces the
-//! exact per-clip output of the sequential
-//! [`Pipeline`](otif_core::Pipeline) — at any worker count.
+//! coupling: it records each stream's detector tickets, and once the
+//! pool drains [`DetectorBatcher::settle`] forms the batch rounds and
+//! charges their launch overhead. Only a [`DetectorExec::Batched`] run
+//! makes streams rendezvous during the run (a task waiting for its
+//! round parks without holding a thread).
+//! Everything else is per-stream and therefore produces the exact
+//! per-clip output of the sequential [`Pipeline`](otif_core::Pipeline)
+//! — at any worker count.
 //!
 //! Fault tolerance (supervision tree, per poll):
 //!
@@ -73,8 +77,8 @@ pub struct EngineOptions {
     /// Admission control: at most this many streams run concurrently;
     /// the rest park until a running stream finishes its clips, and are
     /// admitted in stream-index order. `0` (the default) admits every
-    /// stream immediately. Bounds batcher rounds (the flush watermark
-    /// counts only admitted live streams) and per-run memory.
+    /// stream immediately. Bounds batcher rounds (a round takes a
+    /// ticket from admitted live streams only) and per-run memory.
     pub max_active_streams: usize,
     /// Decode-ahead window per stream (clamped to ≥ 1) of the pipelined
     /// virtual-time model: frame `j` may be decoded as soon as frame
@@ -104,10 +108,11 @@ pub struct EngineOptions {
     /// [`Off`]: DetectorExec::Off
     pub detector_exec: DetectorExec,
     /// Stage watchdog (wall-clock): how long one stage step may run, or
-    /// a stream stay parked on a wedged batcher rendezvous, before the
-    /// wedge is converted into a typed, recoverable stall failure and
-    /// the stream retires (letting its clips be healed by the
-    /// sequential retry). `None` (the default) never times out.
+    /// a stream stay parked on a wedged batcher rendezvous (batched
+    /// detector execution only), before the wedge is converted into a
+    /// typed, recoverable stall failure and the stream retires (letting
+    /// its clips be healed by the sequential retry). `None` (the
+    /// default) never times out.
     pub stage_timeout: Option<Duration>,
 }
 
@@ -217,8 +222,8 @@ pub struct EngineRun {
     /// Counters, batch occupancy, health, scheduler and simulated
     /// seconds.
     pub stats: EngineStats,
-    /// The batcher's flush log in round order — which frames each
-    /// cross-stream detector round coalesced. Round contents are a
+    /// The batcher's settled round log in round order — which frames
+    /// each cross-stream detector round coalesced. Round contents are a
     /// pure function of the per-stream submission sequences.
     pub rounds: Vec<RoundRecord>,
 }
@@ -401,7 +406,7 @@ impl Engine {
         // The surrogate harness is shared by every stream (identical
         // weights, one set of wall-clock counters); the batcher holds
         // a reference only in batched mode, where its flushing thread
-        // runs the forwards.
+        // runs the forwards and streams rendezvous per round.
         let harness = (opts.detector_exec != DetectorExec::Off).then(|| {
             Arc::new(DetectorExecHarness::new(
                 WindowNet::new(&config.detector, ctx.detector_seed),
@@ -456,9 +461,9 @@ impl Engine {
 
         // The fixed worker pool: one task per stream (task id = stream
         // index, round-robin pre-distributed over the workers). The
-        // stream's batcher waker makes the cross-stream rendezvous and
-        // the admission gate its only park/wake points — no task ever
-        // holds an OS thread while waiting.
+        // stream's batcher waker makes the admission gate and, in
+        // batched mode, the cross-stream rendezvous its only park/wake
+        // points — no task ever holds an OS thread while waiting.
         let workers = resolve_workers(opts.workers, streams);
         let pool = TaskPool::new(streams, opts.stage_timeout);
         let mut tasks: Vec<Box<dyn PollTask + '_>> = Vec::with_capacity(streams);
@@ -484,6 +489,9 @@ impl Engine {
         counters.sample_os_threads();
         let metrics = pool.run(workers, tasks);
         counters.sample_os_threads();
+        // Every stream has finished: settle the batch rounds, charging
+        // their launch overhead into `launch`.
+        let rounds = batcher.settle();
 
         // Outcomes: a clip either deposited tracks, or it failed —
         // attribute the failure (recorded per-clip error, else the
@@ -564,7 +572,6 @@ impl Engine {
         // the streaming portion from the recorded per-frame charges and
         // batcher rounds. Charges don't move — the ledger above is
         // already final — this only models *when* they complete.
-        let rounds = batcher.round_log();
         let assignment_idx: Vec<Vec<usize>> = assignments
             .iter()
             .map(|a| a.iter().map(|(i, _)| *i).collect())

@@ -120,9 +120,9 @@ impl StageCtx<'_> {
         self.health.record_stall(self.stream, stage, reason);
     }
 
-    /// Record a batcher-rendezvous watchdog timeout (a sibling stream
-    /// wedged the cross-stream flush watermark) before the stream task
-    /// is retired.
+    /// Record a batcher-rendezvous watchdog timeout (batched mode: a
+    /// sibling stream wedged the cross-stream rendezvous) before the
+    /// stream task is retired.
     pub fn record_batcher_stall(&self, clip: usize) {
         let timeout = self.stage_timeout.unwrap_or_default();
         let reason = format!(

@@ -2,14 +2,17 @@
 //!
 //! A [`StreamTask`] walks its stream's clips in order and runs every
 //! sampled frame through decode → window selection → detection →
-//! tracking before it touches the next frame, while the shared
-//! [`DetectorBatcher`] batches detector windows across streams. The task
-//! parks ([`Polled::Pending`]) in exactly two places: on a batcher ticket
-//! whose round has not flushed, and behind the admission gate while
-//! `max_active_streams` defers the stream. The batcher wakes it through
-//! the one waker it holds per stream. A task that keeps making progress
-//! yields every [`FRAMES_PER_POLL`] frames, so a thousand streams share a
-//! handful of workers round-robin.
+//! tracking before it touches the next frame, handing each frame's
+//! detector windows to the shared [`DetectorBatcher`] as a ticket. The
+//! batcher only records the ticket — the cross-stream rounds are
+//! settled after the run — so the task runs up to [`FRAMES_PER_POLL`]
+//! frames per poll and then yields, and a thousand streams share a
+//! handful of workers round-robin. It parks ([`Polled::Pending`]) behind
+//! the admission gate while `max_active_streams` defers the stream, and,
+//! only under [`DetectorExec::Batched`], on a ticket whose rendezvous
+//! round has not flushed (the batched surrogate forward needs the
+//! round's windows together). The batcher wakes it through the one
+//! waker it holds per stream.
 //!
 //! Running one stream's stages in order costs no reported throughput:
 //! makespan, stalls and prefetch come from the post-run
@@ -24,9 +27,9 @@
 //! to the stream's next clip. A panic is caught per poll, recorded
 //! against the step that was running, and retires the stream. With a
 //! stage timeout set, a step that runs past it is a watchdog stall: the
-//! stream retires and the sequential retry heals its unfinished clips. A
-//! task parked on the batcher past the timeout (a sibling wedged the
-//! flush watermark) is expired by the pool's watchdog through
+//! stream retires and the sequential retry heals its unfinished clips. In
+//! `Batched` mode a task parked on its ticket past the timeout (a sibling
+//! wedged the rendezvous) is expired by the pool's watchdog through
 //! [`PollTask::on_stall`]. Dropping the task, on completion, panic or
 //! expiry, finishes the stream at the batcher.
 
@@ -68,19 +71,17 @@ struct Frame<'a> {
     ghost: bool,
 }
 
-/// A frame parked on its unresolved batcher ticket.
+/// A frame parked on its unresolved batched-mode ticket.
 struct Parked<'a> {
     at: Frame<'a>,
     windows: Vec<Rect>,
-    /// Surrogate outputs computed before the submit (looped mode).
-    outs: Vec<Tensor3>,
 }
 
 /// How a frame's decode → window → detect steps ended.
 enum Front<'a> {
     /// Detection finished; the frame goes on to the tracker.
     Detected(Vec<Detection>),
-    /// The frame waits for its batcher round.
+    /// The frame waits for its batched-mode rendezvous round.
     Parked(Parked<'a>),
     /// A recoverable fault failed the clip.
     Dropped,
@@ -221,7 +222,8 @@ impl<'a> StreamTask<'a> {
             if self.wedged() {
                 return Polled::Done;
             }
-            // A parked frame owns the task until its round flushes.
+            // A parked frame owns the task until its round flushes
+            // (batched mode only).
             let (at, dets) = if let Some(p) = self.parked.take() {
                 match self.batcher.poll_pending(self.ctx.stream) {
                     Ok(PollSubmit::Pending) => {
@@ -229,10 +231,7 @@ impl<'a> StreamTask<'a> {
                         return Polled::Pending;
                     }
                     Ok(PollSubmit::Ready(flushed)) => {
-                        // Looped mode computed its outputs before the
-                        // submit; batched mode gets them from the flush.
-                        let outputs = if p.outs.is_empty() { flushed } else { p.outs };
-                        (p.at, self.detections(p.at, &p.windows, outputs))
+                        (p.at, self.detections(p.at, &p.windows, flushed))
                     }
                     // A protocol violation is an engine bug and the
                     // stream cannot continue coherently: fail the whole
@@ -372,10 +371,12 @@ impl<'a> StreamTask<'a> {
             .poll_submit_exec(self.ctx.stream, sizes, inputs, at.idx, at.ordinal, px)
         {
             Ok(PollSubmit::Ready(flushed)) => {
+                // Looped mode computed its outputs before the submit;
+                // batched mode gets them from the flush.
                 let outputs = if outs.is_empty() { flushed } else { outs };
                 Front::Detected(self.detections(at, &windows, outputs))
             }
-            Ok(PollSubmit::Pending) => Front::Parked(Parked { at, windows, outs }),
+            Ok(PollSubmit::Pending) => Front::Parked(Parked { at, windows }),
             Err(e) => panic!("detect stage cannot batch: {e}"),
         }
     }
@@ -523,8 +524,8 @@ impl PollTask for StreamTask<'_> {
     }
 
     /// Waited past the stage timeout. A stream waiting for admission
-    /// keeps waiting; one holding a frame parked on its batcher ticket
-    /// records a batcher stall and expires. Any other stream only queued
+    /// keeps waiting; one holding a frame parked on its batched-mode
+    /// ticket records a batcher stall and expires. Any other stream only queued
     /// for a worker and is not wedged: its own polls time their steps.
     fn on_stall(&mut self) -> bool {
         if !self.batcher.is_admitted(self.ctx.stream) {
@@ -542,8 +543,9 @@ impl PollTask for StreamTask<'_> {
 
 impl Drop for StreamTask<'_> {
     /// Finish the stream at the batcher on completion, panic or expiry:
-    /// a ticket still pending is discarded (counted, never charged) and
-    /// the flush watermark stops waiting for this stream.
+    /// the next deferred stream is admitted, and in batched mode a
+    /// ticket still pending is discarded (counted, never charged) and
+    /// the rendezvous stops waiting for this stream.
     fn drop(&mut self) {
         self.exit_frame();
         self.batcher.finish(self.ctx.stream);

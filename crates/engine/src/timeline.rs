@@ -12,9 +12,10 @@
 //! The replay is *not* computed by the live stream tasks (wall-clock
 //! interleaving must never leak into reported seconds). Instead the
 //! stage steps record their per-frame charges (see
-//! [`ClipTimeline`]) and the batcher records its flush rounds (see
-//! [`RoundRecord`](crate::batcher::RoundRecord)); after the worker pool
-//! drains, [`replay`] recomputes completion times single-threadedly from
+//! [`ClipTimeline`]) and the batcher records each stream's tickets;
+//! after the worker pool drains, the batcher settles them into rounds
+//! (see [`RoundRecord`](crate::batcher::RoundRecord)) and [`replay`]
+//! recomputes completion times single-threadedly from
 //! those records, which are themselves pure functions of the inputs.
 //! Charges never move — only the completion-time model is new — so
 //! every ledger sum stays bitwise identical to the serial model.
@@ -101,7 +102,7 @@ pub struct StallSeconds {
     /// Window stage idle, waiting for a decoded frame.
     pub decode_starved: f64,
     /// Detector tickets waiting for their cross-stream batch round to
-    /// gather (the watermark rendezvous).
+    /// gather (in virtual time, whatever the detector mode).
     pub batcher_wait: f64,
     /// Decode idle because its prefetch window was full — the frame
     /// `prefetch` positions back had not yet left the pipeline.
@@ -246,8 +247,8 @@ impl StreamSim {
 /// processing order; `completed[clip]` marks clips that finished
 /// in-stream (failed clips are excluded from the replay exactly as
 /// their charges are excluded from the ledger); `frame_counts[clip]`
-/// is the clip's sampled-frame count; `rounds` is the batcher's flush
-/// log in flush order. `prefetch` is clamped to ≥ 1.
+/// is the clip's sampled-frame count; `rounds` is the batcher's
+/// settled round log in round order. `prefetch` is clamped to ≥ 1.
 pub(crate) fn replay(
     assignments: &[Vec<usize>],
     completed: &[bool],

@@ -93,7 +93,8 @@ impl Conv2d {
     fn conv_forward_into(&self, x: &Tensor3, out: &mut Tensor3, path: KernelPath) {
         assert_eq!(x.c, self.in_ch);
         let (oh, ow) = self.out_size(x.h, x.w);
-        out.reset(self.out_ch, oh, ow);
+        // Every kernel path overwrites the whole output.
+        out.reset_unzeroed(self.out_ch, oh, ow);
         kernels::conv2d(&self.shape(), &self.weight.w, &self.bias.w, x, out, path);
         let act = self.act;
         out.map_inplace(|v| act.apply(v));
@@ -154,7 +155,7 @@ impl Conv2d {
     ) {
         assert_eq!(x.c, self.in_ch);
         let (oh, ow) = self.out_size(x.h, x.w);
-        out.reset(x.n, self.out_ch, oh, ow);
+        out.reset_unzeroed(x.n, self.out_ch, oh, ow);
         kernels::conv2d_batched(&self.shape(), &self.weight.w, &self.bias.w, x, out, path);
         let act = self.act;
         out.data.iter_mut().for_each(|v| *v = act.apply(*v));
@@ -270,6 +271,78 @@ mod tests {
         let mut reused = Tensor3::zeros(0, 0, 0);
         c.infer_into(&x, &mut reused);
         assert_eq!(reused.data, gemm.data);
+    }
+
+    #[test]
+    fn stale_outputs_are_fully_overwritten() {
+        // The output is resized without a zero pass, so every path must
+        // write every element: a NaN left behind would show in the bits.
+        // Shapes cover the naive loops, im2col + GEMM, the 1×1 layer that
+        // skips im2col, and the AVX2 stride-2 kernels (three- and
+        // two-group direct tiles, and the gather table for narrow rows).
+        let shapes = [
+            (1, 3, 3, 2, 1, 24, 40),
+            (3, 8, 3, 2, 1, 24, 40),
+            (8, 8, 3, 2, 1, 6, 6),
+            (4, 6, 3, 1, 1, 16, 12),
+            (8, 5, 1, 1, 0, 9, 11),
+            (2, 2, 3, 1, 1, 3, 3),
+        ];
+        for (seed, &(in_ch, out_ch, k, stride, pad, h, w)) in shapes.iter().enumerate() {
+            let mut init = XavierInit::new(seed as u64);
+            let mut c = Conv2d::new(
+                in_ch,
+                out_ch,
+                k,
+                stride,
+                pad,
+                Activation::LeakyRelu,
+                &mut init,
+            );
+            c.bias.w = (0..out_ch).map(|o| o as f32 * 0.1 - 0.2).collect();
+            let items: Vec<Tensor3> = (0..3)
+                .map(|i| {
+                    let data = (0..in_ch * h * w)
+                        .map(|j| (((j * 31 + i * 17) % 53) as f32) / 53.0 - 0.4)
+                        .collect();
+                    Tensor3::from_vec(in_ch, h, w, data)
+                })
+                .collect();
+            let (oh, ow) = c.out_size(h, w);
+            let expected: Vec<Vec<u32>> = items
+                .iter()
+                .map(|x| {
+                    let mut y = Tensor3::zeros(out_ch, oh, ow);
+                    kernels::conv2d_naive(&c.shape(), &c.weight.w, &c.bias.w, x, &mut y);
+                    y.data.iter().map(|v| c.act.apply(*v).to_bits()).collect()
+                })
+                .collect();
+            for path in [KernelPath::Auto, KernelPath::Naive, KernelPath::Gemm] {
+                for (x, want) in items.iter().zip(&expected) {
+                    let mut out =
+                        Tensor3::from_vec(out_ch, oh, ow, vec![f32::NAN; out_ch * oh * ow]);
+                    c.infer_path_into(x, &mut out, path);
+                    let got: Vec<u32> = out.data.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        &got, want,
+                        "{path:?} {in_ch}→{out_ch} k{k}s{stride} {h}×{w}"
+                    );
+                }
+                let refs: Vec<&Tensor3> = items.iter().collect();
+                let mut out = BatchTensor3::zeros(items.len(), out_ch, oh, ow);
+                out.data.fill(f32::NAN);
+                c.infer_batched_path_into(&BatchTensor3::from_items(&refs), &mut out, path);
+                let mut item = Tensor3::zeros(0, 0, 0);
+                for (i, want) in expected.iter().enumerate() {
+                    out.item_into(i, &mut item);
+                    let got: Vec<u32> = item.data.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        &got, want,
+                        "batched {path:?} {in_ch}→{out_ch} k{k}s{stride} {h}×{w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,6 +102,16 @@ impl Tensor3 {
         self.data.resize(c * h * w, 0.0);
     }
 
+    /// [`Self::reset`] without the zero pass: the data keeps stale
+    /// values (only a grown tail is zeroed), so the caller must
+    /// overwrite every element before reading any.
+    pub fn reset_unzeroed(&mut self, c: usize, h: usize, w: usize) {
+        self.c = c;
+        self.h = h;
+        self.w = w;
+        self.data.resize(c * h * w, 0.0);
+    }
+
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -230,6 +240,16 @@ impl BatchTensor3 {
         self.h = h;
         self.w = w;
         self.data.clear();
+        self.data.resize(n * c * h * w, 0.0);
+    }
+
+    /// [`Self::reset`] without the zero pass (see
+    /// [`Tensor3::reset_unzeroed`]).
+    pub fn reset_unzeroed(&mut self, n: usize, c: usize, h: usize, w: usize) {
+        self.n = n;
+        self.c = c;
+        self.h = h;
+        self.w = w;
         self.data.resize(n * c * h * w, 0.0);
     }
 

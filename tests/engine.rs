@@ -3,14 +3,14 @@
 //! `(config, seed)`, including with fully trained artifacts (proxy
 //! windows, recurrent tracker, refinement), and the shared
 //! `DetectorBatcher`, driven through its poll API on a task pool, never
-//! reorders a stream's submissions.
+//! reorders a stream's submissions in its settled rounds.
 
 use otif::core::evalpool::{PollTask, Polled, TaskPool};
 use otif::core::pipeline::ExecutionContext;
 use otif::core::{Otif, OtifOptions, Pipeline};
 use otif::cv::{Component, CostLedger, CostModel, DetectorArch, DetectorConfig};
 use otif::engine::{
-    DetectorBatcher, DetectorExec, Engine, EngineOptions, FaultPlan, PollSubmit, StageName, Ticket,
+    DetectorBatcher, DetectorExec, Engine, EngineOptions, FaultPlan, PollSubmit, StageName,
 };
 use otif::sim::{DatasetConfig, DatasetKind, DatasetScale};
 use otif::track::Track;
@@ -116,49 +116,45 @@ fn single_stream_engine_cost_is_sequential_cost() {
 }
 
 /// One stream on a task pool, driving the batcher's poll API: submits
-/// its tickets in order, parks on each unresolved one (the batcher wakes
-/// it when the round flushes), logs the flushed-round count after each
-/// resolves, and finishes its stream when done.
+/// its tickets in order (tagged with the stream as clip and the
+/// submission index as ordinal) — each is recorded at once, since the
+/// batcher executes no surrogate — and finishes its stream when done.
 struct Submitter<'a> {
     batcher: &'a DetectorBatcher,
     stream: usize,
     tickets: std::vec::IntoIter<Vec<(u32, u32)>>,
-    waiting: bool,
-    rounds_seen: &'a std::sync::Mutex<Vec<u64>>,
+    ordinal: usize,
 }
 
 impl PollTask for Submitter<'_> {
     fn poll(&mut self) -> Polled {
-        loop {
-            if self.waiting {
-                match self.batcher.poll_pending(self.stream).unwrap() {
-                    PollSubmit::Pending => return Polled::Pending,
-                    PollSubmit::Ready(_) => self.waiting = false,
-                }
-                self.rounds_seen.lock().unwrap().push(self.batcher.rounds());
-            }
+        // a small per-poll budget, so streams interleave on the pool
+        for _ in 0..2 {
             let Some(sizes) = self.tickets.next() else {
                 self.batcher.finish(self.stream);
                 return Polled::Done;
             };
-            match self
+            let polled = self
                 .batcher
-                .poll_submit_exec(self.stream, sizes, Vec::new(), Ticket::UNTAGGED, 0, 0.0)
-                .unwrap()
-            {
-                PollSubmit::Ready(_) => {
-                    self.rounds_seen.lock().unwrap().push(self.batcher.rounds())
-                }
-                PollSubmit::Pending => self.waiting = true,
-            }
+                .poll_submit_exec(
+                    self.stream,
+                    sizes,
+                    Vec::new(),
+                    self.stream,
+                    self.ordinal,
+                    0.0,
+                )
+                .unwrap();
+            assert!(matches!(polled, PollSubmit::Ready(_)));
+            self.ordinal += 1;
         }
+        Polled::Yielded
     }
 }
 
-// The batcher never reorders a stream's submissions: the j-th
-// submission of a stream completes in the j-th round that stream
-// participates in, so the round number observed after each ticket
-// resolves is strictly increasing per stream.
+// The batcher never reorders a stream's submissions: in the settled
+// round log, a stream's j-th ticket is in the j-th round that stream
+// takes part in, whatever the worker count and interleaving.
 proptest! {
     #[test]
     fn batcher_preserves_per_stream_submission_order(
@@ -171,11 +167,9 @@ proptest! {
         let ledger = CostLedger::new();
         let batcher = DetectorBatcher::new(streams, 1.0, 4, ledger.clone());
         let pool = TaskPool::new(streams, None);
-        let seen: Vec<std::sync::Mutex<Vec<u64>>> =
-            (0..streams).map(|_| std::sync::Mutex::new(Vec::new())).collect();
         let mut tasks: Vec<Box<dyn PollTask + '_>> = Vec::new();
         let mut total_items = 0u64;
-        for (s, rounds_seen) in seen.iter().enumerate() {
+        for s in 0..streams {
             // uneven lengths and varying window mixes per stream
             let tickets: Vec<Vec<(u32, u32)>> = (0..frames + s)
                 .map(|f| {
@@ -190,22 +184,31 @@ proptest! {
                 batcher: &batcher,
                 stream: s,
                 tickets: tickets.into_iter(),
-                waiting: false,
-                rounds_seen,
+                ordinal: 0,
             }));
         }
         pool.run(workers as usize, tasks);
-        for (s, rounds_seen) in seen.iter().enumerate() {
-            let rounds_seen = rounds_seen.lock().unwrap();
-            prop_assert_eq!(rounds_seen.len(), frames + s);
-            for w in rounds_seen.windows(2) {
-                prop_assert!(
-                    w[0] < w[1],
-                    "stream {}: submissions completed out of round order ({:?})", s, w
-                );
-            }
+        let rounds = batcher.settle();
+        for r in &rounds {
+            // members in stream order, one ticket per stream
+            prop_assert!(r.tickets.windows(2).all(|w| w[0].stream < w[1].stream));
         }
-        // every submitted window was flushed exactly once
+        for s in 0..streams {
+            let taken: Vec<usize> = rounds
+                .iter()
+                .filter_map(|r| r.tickets.iter().find(|t| t.stream == s))
+                .map(|t| {
+                    assert_eq!(t.clip, s);
+                    t.ordinal
+                })
+                .collect();
+            prop_assert_eq!(
+                taken,
+                (0..frames + s).collect::<Vec<_>>(),
+                "stream {}: tickets settled out of submission order", s
+            );
+        }
+        // every submitted window was charged exactly once
         prop_assert_eq!(ledger.batch_stats().items, total_items);
     }
 }
