@@ -22,7 +22,7 @@
 
 use crate::common::Baseline;
 use otif_cv::{Component, CostLedger, CostModel, Detection, DetectorConfig, SimDetector};
-use otif_geom::{hungarian, Rect};
+use otif_geom::{Hungarian, Rect};
 use otif_sim::Clip;
 use otif_track::{Track, TrackId};
 
@@ -126,6 +126,7 @@ impl MirisBaseline {
         let mut next_id: TrackId = 0;
         let mut gap = cfg.max_gap;
         let mut f = 0usize;
+        let (mut scores, mut cost, mut solver) = (Vec::new(), Vec::new(), Hungarian::default());
 
         while f < clip.num_frames() {
             ledger.charge(
@@ -138,26 +139,20 @@ impl MirisBaseline {
                 self.cost.tracker_per_frame + dets.len() as f64 * self.cost.tracker_per_det,
             );
 
-            // pairwise scores against active tracks
-            let scores: Vec<Vec<f32>> = dets
-                .iter()
-                .map(|d| {
-                    active
-                        .iter()
-                        .map(|t| {
-                            let last = &t.track.dets.last().unwrap().1;
-                            let g = (f - t.last_frame) as f32;
-                            Self::pair_score(last, t.vel, d, g)
-                        })
-                        .collect()
-                })
-                .collect();
+            // pairwise scores against active tracks, `dets × tracks`
+            let nt = active.len();
+            scores.clear();
+            for d in &dets {
+                scores.extend(active.iter().map(|t| {
+                    let last = &t.track.dets.last().unwrap().1;
+                    let g = (f - t.last_frame) as f32;
+                    Self::pair_score(last, t.vel, d, g)
+                }));
+            }
             let assign = if !dets.is_empty() && !active.is_empty() {
-                let cost: Vec<Vec<f32>> = scores
-                    .iter()
-                    .map(|row| row.iter().map(|s| 1.0 - s).collect())
-                    .collect();
-                hungarian(&cost)
+                cost.clear();
+                cost.extend(scores.iter().map(|s| 1.0 - s));
+                solver.solve(&cost, dets.len(), nt).to_vec()
             } else {
                 vec![None; dets.len()]
             };
@@ -166,10 +161,10 @@ impl MirisBaseline {
             let mut min_accepted: f32 = 1.0;
             let mut new_dets = Vec::new();
             for (di, det) in dets.into_iter().enumerate() {
-                let ti = assign[di].filter(|&ti| scores[di][ti] >= 0.25);
+                let ti = assign[di].filter(|&ti| scores[di * nt + ti] >= 0.25);
                 match ti {
                     Some(ti) => {
-                        min_accepted = min_accepted.min(scores[di][ti]);
+                        min_accepted = min_accepted.min(scores[di * nt + ti]);
                         let t = &mut active[ti];
                         let g = (f - t.last_frame).max(1) as f32;
                         let lc = t.track.dets.last().unwrap().1.rect.center();

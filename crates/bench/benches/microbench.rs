@@ -99,7 +99,7 @@ fn bench_trackers(c: &mut Criterion) {
     c.bench_function("recurrent_tracker/step_12_dets", |b| {
         b.iter_batched(
             || {
-                let mut t = RecurrentTracker::new(model.clone());
+                let mut t = RecurrentTracker::new(&model);
                 t.match_threshold = 0.0;
                 for f in 0..5 {
                     t.step(f, frame_dets(f));

@@ -17,12 +17,15 @@
 //! - the naive/GEMM crossover that `GEMM_MIN_MACS` is read from: the
 //!   1×1 decoder layers, the late encoder layers and small-window
 //!   layers;
-//! - batched vs looped forwards, and the renderer.
+//! - batched vs looped forwards, and the renderer;
+//! - recurrent-tracker inference, looped (`TrackerModel`, one pair or
+//!   GRU step per call) vs packed (`PackedTracker`, one batch), per pair
+//!   and per step.
 //!
 //! Every pair of paths is checked before timing, on every run: GEMM
-//! paths must agree bit for bit, GEMM and naive convolutions under `==`
-//! (they may differ in the sign of a zero). So a speedup never comes at
-//! the cost of divergent results.
+//! paths, renderers and tracker paths must agree bit for bit, GEMM and
+//! naive convolutions under `==` (they may differ in the sign of a
+//! zero). So a speedup never comes at the cost of divergent results.
 //!
 //! Usage: `cargo run --release -p otif-bench --bin kernels [tiny|small|experiment]`
 //!
@@ -34,13 +37,16 @@
 use otif_bench::report::{print_table, write_report};
 use otif_core::proxy::proxy_input_dims;
 use otif_core::{SegProxyModel, WindowNet, PROXY_SCALES};
-use otif_cv::{DetectorArch, DetectorConfig};
+use otif_cv::{Detection, DetectorArch, DetectorConfig, APPEARANCE_DIM};
+use otif_geom::Rect;
 use otif_nn::kernels::{
     conv2d_gemm, conv2d_gemm_portable, conv2d_naive, conv_path_for, matmul_blocked, matmul_naive,
     matmul_portable, ConvShape,
 };
 use otif_nn::{BatchTensor3, KernelPath, Tensor3};
-use otif_sim::{Clip, DatasetKind, GrayImage, Renderer};
+use otif_sim::{Clip, DatasetKind, GrayImage, ObjectClass, Renderer};
+use otif_track::recurrent::HIDDEN;
+use otif_track::{PairBatch, StepBatch, TrackerModel};
 use serde::Serialize;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -109,6 +115,19 @@ struct RenderBench {
     speedup_fast_over_naive: f64,
 }
 
+/// Looped vs packed tracker inference on one frame's worth of tracks
+/// and candidates, every pair inside the spatial gate.
+#[derive(Serialize)]
+struct TrackerBench {
+    tracks: usize,
+    dets: usize,
+    reps: usize,
+    looped_us_per_pair: f64,
+    packed_us_per_pair: f64,
+    looped_us_per_step: f64,
+    packed_us_per_step: f64,
+}
+
 #[derive(Serialize)]
 struct KernelsReport {
     mode: String,
@@ -118,6 +137,7 @@ struct KernelsReport {
     crossover: Vec<ConvBench>,
     batched_vs_looped: Vec<BatchedBench>,
     render: Vec<RenderBench>,
+    tracker: Vec<TrackerBench>,
 }
 
 /// Best-of-3 timing of `reps` calls to `f`, in seconds per call.
@@ -478,6 +498,114 @@ fn bench_render(
     }
 }
 
+/// A detection centred at `(x, y)` with an appearance from `salt`.
+fn tracker_det(x: f32, y: f32, salt: u64) -> Detection {
+    Detection {
+        rect: Rect::new(x - 12.0, y - 7.0, 24.0, 14.0),
+        class: ObjectClass::Car,
+        confidence: 0.9,
+        appearance: fill(APPEARANCE_DIM, salt),
+        debug_gt: None,
+    }
+}
+
+/// `tracks` tracks 8 px apart, each two GRU steps old, scored against
+/// `dets` candidates a few px from them (every pair inside every gate),
+/// then advanced by one detection each. Bitwise-gated against
+/// `TrackerModel::match_prob` / `advance` before timing.
+fn bench_tracker(model: &TrackerModel, tracks: usize, dets: usize, reps: usize) -> TrackerBench {
+    let packed = model.packed();
+    let mut steps = StepBatch::default();
+    let mut state = vec![(vec![0.0; HIDDEN], vec![0.0; 0], tracker_det(0.0, 0.0, 0)); tracks];
+    for (i, (h, prefix, last)) in state.iter_mut().enumerate() {
+        for s in 0..2 {
+            *last = tracker_det(100.0 + 8.0 * i as f32 + 4.0 * s as f32, 120.0, i as u64);
+            steps.clear();
+            steps.push(packed, last, 2 * s, h);
+            packed.advance(&mut steps);
+            (*h, *prefix) = (steps.state(0).to_vec(), steps.prefix(0).to_vec());
+        }
+    }
+    let cands: Vec<Detection> = (0..dets)
+        .map(|j| tracker_det(107.0 + 8.0 * (j % tracks) as f32, 123.0, 99 + j as u64))
+        .collect();
+    let te = 4;
+
+    let looped_pairs = || -> Vec<f32> {
+        let mut probs = Vec::with_capacity(tracks * dets);
+        for c in &cands {
+            for (h, _, last) in &state {
+                probs.push(model.match_prob(h, last, c, te));
+            }
+        }
+        probs
+    };
+    let mut pairs = PairBatch::default();
+    let packed_pairs = |pairs: &mut PairBatch| {
+        pairs.clear();
+        for c in &cands {
+            for (_, prefix, last) in &state {
+                pairs.push(packed, prefix, last, c, te);
+            }
+        }
+        packed.score(pairs);
+    };
+    packed_pairs(&mut pairs);
+    assert_eq!(pairs.len(), tracks * dets, "a pair fell outside the gate");
+    assert_eq!(
+        bits(pairs.probs()),
+        bits(&looped_pairs()),
+        "packed pair scores diverged from TrackerModel::match_prob ({tracks}x{dets})"
+    );
+    let looped_steps = || -> Vec<Vec<f32>> {
+        state
+            .iter()
+            .zip(&cands)
+            .map(|((h, _, _), c)| model.advance(h, c, te))
+            .collect()
+    };
+    let packed_steps = |steps: &mut StepBatch| {
+        steps.clear();
+        for ((h, _, _), c) in state.iter().zip(&cands) {
+            steps.push(packed, c, te, h);
+        }
+        packed.advance(steps);
+    };
+    packed_steps(&mut steps);
+    for (i, want) in looped_steps().iter().enumerate() {
+        assert_eq!(
+            bits(steps.state(i)),
+            bits(want),
+            "packed GRU step {i} diverged from TrackerModel::advance"
+        );
+    }
+
+    let (n_pairs, n_steps) = ((tracks * dets) as f64, tracks.min(dets) as f64);
+    let (looped_pair, packed_pair) = time_interleaved(
+        reps,
+        || {
+            black_box(looped_pairs());
+        },
+        || packed_pairs(&mut pairs),
+    );
+    let (looped_step, packed_step) = time_interleaved(
+        reps,
+        || {
+            black_box(looped_steps());
+        },
+        || packed_steps(&mut steps),
+    );
+    TrackerBench {
+        tracks,
+        dets,
+        reps,
+        looped_us_per_pair: looped_pair / n_pairs * 1e6,
+        packed_us_per_pair: packed_pair / n_pairs * 1e6,
+        looped_us_per_step: looped_step / n_steps * 1e6,
+        packed_us_per_step: packed_step / n_steps * 1e6,
+    }
+}
+
 fn main() {
     let smoke = matches!(std::env::args().nth(1).as_deref(), Some("tiny"));
     let warsaw = Clip::simulate(Arc::new(DatasetKind::Warsaw.scene()), 0, 2.0, 7);
@@ -608,6 +736,22 @@ fn main() {
         ),
     ];
 
+    // Recurrent tracker: a sparse frame, a typical one and a dense one.
+    // The model gets a few training steps so its biases are not zero.
+    let mut tracker_model = TrackerModel::new(fw, fh, 42);
+    let prefix: Vec<(usize, Detection)> = (0..3)
+        .map(|i| (2 * i, tracker_det(100.0 + 20.0 * i as f32, 120.0, 1)))
+        .collect();
+    let (pos, neg) = (tracker_det(160.0, 120.0, 1), tracker_det(400.0, 300.0, 2));
+    for _ in 0..3 {
+        tracker_model.train_example(&prefix, &[(&pos, 2, true), (&neg, 2, false)], 0.05, true);
+    }
+    let tracker_reps = if smoke { 3 } else { 2000 };
+    let tracker: Vec<TrackerBench> = [(1, 1), (4, 4), (12, 12)]
+        .into_iter()
+        .map(|(tracks, dets)| bench_tracker(&tracker_model, tracks, dets, tracker_reps))
+        .collect();
+
     print_table(
         "Proxy forward pass — naive vs GEMM kernel path (wall clock)",
         &["input", "reps", "naive s", "gemm s", "auto s", "speedup"],
@@ -726,6 +870,30 @@ fn main() {
         &rows,
     );
 
+    let rows: Vec<Vec<String>> = tracker
+        .iter()
+        .map(|b| {
+            vec![
+                format!("{}x{}", b.tracks, b.dets),
+                format!("{:.3}", b.looped_us_per_pair),
+                format!("{:.3}", b.packed_us_per_pair),
+                format!("{:.3}", b.looped_us_per_step),
+                format!("{:.3}", b.packed_us_per_step),
+            ]
+        })
+        .collect();
+    print_table(
+        "Recurrent tracker — looped TrackerModel vs packed batches (wall clock, bit-identical)",
+        &[
+            "tracks x dets",
+            "looped us/pair",
+            "packed us/pair",
+            "looped us/step",
+            "packed us/step",
+        ],
+        &rows,
+    );
+
     let proxy_speedup = proxy.speedup_gemm_over_naive;
     let batched_speedups: Vec<(usize, f64)> = batched_vs_looped
         .iter()
@@ -745,6 +913,7 @@ fn main() {
             crossover,
             batched_vs_looped,
             render,
+            tracker,
         },
     );
 

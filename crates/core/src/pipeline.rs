@@ -121,7 +121,7 @@ impl Pipeline {
         let model = ctx
             .tracker_model
             .expect("variable-rate tracking requires the recurrent model");
-        let mut tracker = RecurrentTracker::new(model.clone());
+        let mut tracker = RecurrentTracker::new(model);
         let native_px = (clip.scene.width as f64) * (clip.scene.height as f64);
         let max_gap = config.gap.max(1);
         let mut gap = max_gap;

@@ -99,19 +99,23 @@ impl RefineIndex {
     /// cluster center: mean over track points of the distance to the
     /// nearest center point. A low-rate track covers a sub-segment of the
     /// full path, so the symmetric §3.4 metric would over-penalize.
-    fn track_to_center_dist(track_path: &Polyline, center: &Polyline) -> f32 {
-        let sum: f32 = track_path
-            .points
-            .iter()
-            .map(|p| {
-                center
-                    .points
-                    .iter()
-                    .map(|q| p.dist(q))
-                    .fold(f32::INFINITY, f32::min)
-            })
-            .sum();
-        sum / track_path.points.len() as f32
+    ///
+    /// The loop runs center point by center point over all track points
+    /// at once, on squared distances, with one `sqrt` per track point at
+    /// the end. Both are exact: `f32::min` over the same values gives the
+    /// same minimum in any order (squared distances are never `-0.0`),
+    /// and `sqrt` is monotone, so the root of the minimum is the minimum
+    /// of the distances.
+    fn track_to_center_dist(path: &PathAxes, center: &Polyline) -> f32 {
+        let mut nearest = [f32::INFINITY; RESAMPLE_N];
+        for q in &center.points {
+            for ((m, x), y) in nearest.iter_mut().zip(&path.xs).zip(&path.ys) {
+                let (dx, dy) = (x - q.x, y - q.y);
+                *m = m.min(dx * dx + dy * dy);
+            }
+        }
+        let sum: f32 = nearest.iter().map(|m| m.sqrt()).sum();
+        sum / RESAMPLE_N as f32
     }
 
     /// The k nearest clusters to a track (by directed chamfer distance),
@@ -120,10 +124,26 @@ impl RefineIndex {
         if self.clusters.is_empty() || track.is_empty() {
             return Vec::new();
         }
-        let path = track.center_polyline().resample(RESAMPLE_N);
+        let path = PathAxes::new(&track.center_polyline());
+        self.nearest_to_path(&path, k, &mut Vec::new())
+    }
+
+    /// [`Self::nearest_clusters`] for a track path. `memo` holds the
+    /// chamfer distances already computed for this path, by cluster, and
+    /// gains the new ones.
+    fn nearest_to_path(
+        &self,
+        path: &PathAxes,
+        k: usize,
+        memo: &mut Vec<(usize, f32)>,
+    ) -> Vec<(usize, f32)> {
         // candidate clusters near either endpoint of the track
         let mut cand: Vec<usize> = Vec::new();
-        for p in [path.first(), path.last()] {
+        let n = RESAMPLE_N - 1;
+        for p in [
+            Point::new(path.xs[0], path.ys[0]),
+            Point::new(path.xs[n], path.ys[n]),
+        ] {
             for (_, ci) in self.endpoint_index.knn(&p, k * 3) {
                 cand.push(ci);
             }
@@ -132,11 +152,13 @@ impl RefineIndex {
         cand.dedup();
         let mut scored: Vec<(usize, f32)> = cand
             .into_iter()
-            .map(|ci| {
-                (
-                    ci,
-                    Self::track_to_center_dist(&path, &self.clusters[ci].center),
-                )
+            .map(|ci| match memo.iter().find(|(c, _)| *c == ci) {
+                Some(&hit) => hit,
+                None => {
+                    let d = Self::track_to_center_dist(path, &self.clusters[ci].center);
+                    memo.push((ci, d));
+                    (ci, d)
+                }
             })
             .collect();
         scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -158,11 +180,16 @@ impl RefineIndex {
         if near.is_empty() {
             return None;
         }
-        let tp = track.center_polyline();
+        Some(self.endpoints_of(&near, &track.center_polyline()))
+    }
+
+    /// [`Self::estimate_endpoints`] given the nearest clusters and the
+    /// track's center polyline `tp`.
+    fn endpoints_of(&self, near: &[(usize, f32)], tp: &Polyline) -> (Point, Point) {
         let (tstart, tend) = (tp.first(), tp.last());
         let mut starts: Vec<(Point, f32)> = Vec::new();
         let mut ends: Vec<(Point, f32)> = Vec::new();
-        for (ci, _) in &near {
+        for (ci, _) in near {
             let c = &self.clusters[*ci];
             let (mut s, mut e) = (c.center.first(), c.center.last());
             // orient the cluster to the track's travel direction
@@ -172,7 +199,7 @@ impl RefineIndex {
             starts.push((s, c.size as f32));
             ends.push((e, c.size as f32));
         }
-        Some((weighted_median(&starts), weighted_median(&ends)))
+        (weighted_median(&starts), weighted_median(&ends))
     }
 
     /// Extend a track's first/last detections toward the estimated true
@@ -182,19 +209,29 @@ impl RefineIndex {
     /// Refinement is skipped when no cluster matches the track closely —
     /// extending toward an unrelated path's endpoints is worse than
     /// leaving the track alone.
+    ///
+    /// Equals the gate `nearest_clusters(track, 1)` followed by
+    /// `estimate_endpoints(track)`, with the track's polyline and its
+    /// resample built once and each cluster's chamfer distance computed
+    /// once.
     pub fn refine(&self, track: &mut Track) {
-        if track.len() < 2 {
+        if track.len() < 2 || self.clusters.is_empty() {
             return;
         }
+        let tp = track.center_polyline();
+        let path = PathAxes::new(&tp);
+        let mut memo = Vec::new();
         // confidence gate: the nearest cluster must actually resemble
         // this track
-        match self.nearest_clusters(track, 1).first() {
+        match self.nearest_to_path(&path, 1, &mut memo).first() {
             Some(&(_, d)) if d <= 40.0 => {}
             _ => return,
         }
-        let Some((start, end)) = self.estimate_endpoints(track) else {
+        let near = self.nearest_to_path(&path, KNN_K, &mut memo);
+        if near.is_empty() {
             return;
-        };
+        }
+        let (start, end) = self.endpoints_of(&near, &tp);
         let first = track.dets.first().unwrap().clone();
         let last = track.dets.last().unwrap().clone();
 
@@ -242,6 +279,27 @@ impl RefineIndex {
                 .dets
                 .push((last.0 + gap_frames.max(1), mk(&last.1, end)));
         }
+    }
+}
+
+/// A track's center path resampled to `RESAMPLE_N` points, with the
+/// coordinates split by axis: the layout the chamfer loop vectorizes
+/// over.
+struct PathAxes {
+    xs: [f32; RESAMPLE_N],
+    ys: [f32; RESAMPLE_N],
+}
+
+impl PathAxes {
+    fn new(center_path: &Polyline) -> Self {
+        let mut path = PathAxes {
+            xs: [0.0; RESAMPLE_N],
+            ys: [0.0; RESAMPLE_N],
+        };
+        for (i, p) in center_path.resample(RESAMPLE_N).points.iter().enumerate() {
+            (path.xs[i], path.ys[i]) = (p.x, p.y);
+        }
+        path
     }
 }
 

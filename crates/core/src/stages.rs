@@ -19,27 +19,27 @@ use otif_track::{RecurrentTracker, SortTracker, Track};
 
 /// The tracker variant selected by a configuration — SORT or the
 /// trained recurrent tracker — behind one `step`/`finish` interface.
-pub enum FrameTracker {
+pub enum FrameTracker<'a> {
     /// IoU/Kalman SORT tracker (no trained model).
-    Sort(SortTracker),
+    Sort(Box<SortTracker>),
     /// GRU-based recurrent tracker (requires `ctx.tracker_model`).
-    Recurrent(Box<RecurrentTracker>),
+    Recurrent(Box<RecurrentTracker<'a>>),
 }
 
-impl FrameTracker {
-    /// Instantiate the tracker `config` asks for.
+impl<'a> FrameTracker<'a> {
+    /// Instantiate the tracker `config` asks for. A recurrent tracker
+    /// borrows the context model's packed weights; nothing is copied.
     ///
     /// # Panics
     /// If `config.tracker` is `Recurrent` and the context has no
     /// trained tracker model.
-    pub fn new(config: &OtifConfig, ctx: &ExecutionContext) -> Self {
+    pub fn new(config: &OtifConfig, ctx: &ExecutionContext<'a>) -> Self {
         match config.tracker {
-            TrackerKind::Sort => FrameTracker::Sort(SortTracker::default()),
+            TrackerKind::Sort => FrameTracker::Sort(Box::default()),
             TrackerKind::Recurrent => {
                 let model = ctx
                     .tracker_model
-                    .expect("recurrent tracker requires a trained model")
-                    .clone();
+                    .expect("recurrent tracker requires a trained model");
                 FrameTracker::Recurrent(Box::new(RecurrentTracker::new(model)))
             }
         }

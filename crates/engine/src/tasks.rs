@@ -99,7 +99,7 @@ pub(crate) struct StreamTask<'a> {
     frame: usize,
     ordinal: usize,
     /// The current clip's tracker, created at its first tracked frame.
-    tracker: Option<FrameTracker>,
+    tracker: Option<FrameTracker<'a>>,
     parked: Option<Parked<'a>>,
     /// Whether a frame holds an entry in the in-flight gauge.
     in_flight: bool,

@@ -86,8 +86,15 @@ impl<T: Clone> GridIndex<T> {
     /// order within a cell) — identical to the bounding-rectangle sweep,
     /// since skipped cells contribute no items.
     pub fn query_circle(&self, p: &Point, radius: f32) -> Vec<(Point, T)> {
-        let r2 = radius * radius;
         let mut out = Vec::new();
+        self.for_each_in_circle(p, radius, |q, item| out.push((*q, item.clone())));
+        out
+    }
+
+    /// Call `f` on every item [`Self::query_circle`] returns, in its
+    /// order.
+    fn for_each_in_circle(&self, p: &Point, radius: f32, mut f: impl FnMut(&Point, &T)) {
+        let r2 = radius * radius;
         let cx0 = (((p.x - radius) / self.cell_size).floor() as i64).clamp(0, self.cols as i64 - 1)
             as usize;
         let cx1 = (((p.x + radius) / self.cell_size).floor() as i64).clamp(0, self.cols as i64 - 1)
@@ -103,25 +110,65 @@ impl<T: Clone> GridIndex<T> {
             |cx: usize, cy: usize| cx == 0 || cy == 0 || cx == self.cols - 1 || cy == self.rows - 1;
         for cy in cy0..=cy1 {
             for cx in cx0..=cx1 {
-                if !boundary(cx, cy) && self.cell_dist_sq(cx, cy, p) > r2 {
+                let cell = &self.cells[cy * self.cols + cx];
+                if cell.is_empty() || !boundary(cx, cy) && self.cell_dist_sq(cx, cy, p) > r2 {
                     continue;
                 }
-                for (q, item) in &self.cells[cy * self.cols + cx] {
+                for (q, item) in cell {
                     if q.dist_sq(p) <= r2 {
-                        out.push((*q, item.clone()));
+                        f(q, item);
                     }
                 }
             }
         }
-        out
     }
 
-    /// The `k` nearest items to `p`, nearest first.
+    /// The `k` nearest items to `p`, nearest first (ties in cell scan
+    /// order).
     ///
-    /// Searches outward ring by ring; falls back to scanning everything if
-    /// the rings exhaust the grid (small indexes), so it always returns
-    /// `min(k, len)` items.
+    /// Searches outward ring by ring: circles of radius
+    /// `cell_size · 2^j` for `j = 0, 1, …`, stopping at the first that
+    /// holds `k` items or, once the radius reaches twice the grid's
+    /// extent, all of them (small indexes); that circle's items, sorted
+    /// by distance, give the answer. The rings share one buffer, only the
+    /// last is sorted, and with fewer than `k` items the rings that
+    /// cannot end the search are skipped. Points with a NaN coordinate
+    /// are in no circle and never returned.
     pub fn knn(&self, p: &Point, k: usize) -> Vec<(Point, T)> {
+        let mut found = Vec::new();
+        if k == 0 || self.len == 0 {
+            return found;
+        }
+        let max_dim = (self.cols.max(self.rows) as f32 + 1.0) * self.cell_size;
+        let mut radius = self.cell_size;
+        loop {
+            let wide = radius >= max_dim * 2.0;
+            // With fewer than k items, only a wide circle can end the
+            // search.
+            if k <= self.len || wide {
+                found.clear();
+                self.for_each_in_circle(p, radius, |q, item| found.push((*q, item.clone())));
+                let n = found.len();
+                // An infinite circle holds every point any circle will.
+                if n >= k || (wide && n == self.len) || radius.is_infinite() {
+                    break;
+                }
+            }
+            radius *= 2.0;
+        }
+        found.sort_by(|a, b| {
+            a.0.dist_sq(p)
+                .partial_cmp(&b.0.dist_sq(p))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        found.truncate(k);
+        found
+    }
+
+    /// [`Self::knn`] as it was first written, collecting and sorting
+    /// every ring. Kept as its test oracle.
+    #[cfg(test)]
+    fn knn_by_rings(&self, p: &Point, k: usize) -> Vec<(Point, T)> {
         if k == 0 || self.len == 0 {
             return Vec::new();
         }
@@ -250,6 +297,41 @@ mod tests {
             old.sort_unstable();
             assert_eq!(fast, brute, "center ({cx},{cy}) r {r}");
             assert_eq!(old, brute);
+        }
+    }
+
+    // The one-buffer `knn` returns the ring search's items in its
+    // order: random grids and cell sizes, points in and outside the
+    // bounds (boundary cells), coordinates on a 4 px lattice so equal
+    // distances tie, and any `k` from 0 past the item count.
+    proptest::proptest! {
+        #[test]
+        fn knn_matches_ring_search(
+            dims in (1.0f32..400.0, 1.0f32..300.0, 2.0f32..80.0),
+            n in 0usize..120,
+            k in 0usize..40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (w, h, cell) = dims;
+            let mut s = seed;
+            let mut next = |lo: f32, hi: f32| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let v = lo + (hi - lo) * ((s >> 40) as f32 / (1u64 << 24) as f32);
+                (v / 4.0).round() * 4.0
+            };
+            let mut g = GridIndex::new(w, h, cell);
+            for i in 0..n {
+                g.insert(Point::new(next(-60.0, w + 60.0), next(-60.0, h + 60.0)), i);
+            }
+            for _ in 0..4 {
+                let q = Point::new(next(-80.0, w + 80.0), next(-80.0, h + 80.0));
+                let key = |v: Vec<(Point, usize)>| -> Vec<(u32, u32, usize)> {
+                    v.into_iter().map(|(p, i)| (p.x.to_bits(), p.y.to_bits(), i)).collect()
+                };
+                proptest::prop_assert_eq!(key(g.knn(&q, k)), key(g.knn_by_rings(&q, k)));
+            }
         }
     }
 

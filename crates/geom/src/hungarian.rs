@@ -6,12 +6,12 @@
 
 /// Solve the rectangular assignment problem.
 ///
-/// `cost` is a row-major `rows × cols` matrix. Returns, for each row, the
-/// assigned column (or `None` if the row is unassigned because
-/// `rows > cols`). The total cost of the returned assignment is minimal.
-///
-/// Implementation: the classic O(n³) potentials/augmenting-path algorithm
-/// on a padded square matrix.
+/// `cost` is a `rows × cols` matrix given as one `Vec` per row. Returns,
+/// for each row, the assigned column (or `None` if the row is unassigned
+/// because `rows > cols`). The total cost of the returned assignment is
+/// minimal. Callers that solve one problem per frame use
+/// [`Hungarian::solve`] on a flat matrix instead, which reuses its
+/// buffers and returns the same assignment.
 ///
 /// ```
 /// use otif_geom::hungarian;
@@ -20,89 +20,136 @@
 /// assert_eq!(hungarian(&cost), vec![Some(1), Some(0)]);
 /// ```
 pub fn hungarian(cost: &[Vec<f32>]) -> Vec<Option<usize>> {
-    let rows = cost.len();
-    if rows == 0 {
-        return Vec::new();
-    }
-    let cols = cost[0].len();
+    let cols = cost.first().map_or(0, Vec::len);
     for r in cost {
         assert_eq!(r.len(), cols, "cost matrix rows must have equal length");
     }
-    if cols == 0 {
-        return vec![None; rows];
-    }
-    let n = rows.max(cols);
+    Hungarian::default()
+        .solve(&cost.concat(), cost.len(), cols)
+        .to_vec()
+}
 
-    // Pad to n×n with zeros (padded cells are "free" dummy assignments).
-    // Using f64 internally for numerical stability of the potentials.
-    let get = |i: usize, j: usize| -> f64 {
-        if i < rows && j < cols {
-            cost[i][j] as f64
-        } else {
-            0.0
+/// The buffers of the assignment solver, kept between calls so that a
+/// tracker solving one problem per frame allocates only while its
+/// matrices grow.
+#[derive(Debug, Clone, Default)]
+pub struct Hungarian {
+    u: Vec<f64>,
+    v: Vec<f64>,
+    p: Vec<usize>,
+    way: Vec<usize>,
+    minv: Vec<f64>,
+    used: Vec<bool>,
+    assign: Vec<Option<usize>>,
+}
+
+/// Refill `buf` with `len` copies of `value`.
+fn reset<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
+}
+
+impl Hungarian {
+    /// Solve the assignment problem for the row-major `rows × cols`
+    /// matrix `cost`: for each row, the assigned column, or `None` if the
+    /// row is unassigned because `rows > cols`. The total cost is
+    /// minimal.
+    ///
+    /// Implementation: the classic O(n³) potentials/augmenting-path
+    /// algorithm on the matrix padded to `n × n`, `n = max(rows, cols)`.
+    ///
+    /// ```
+    /// use otif_geom::Hungarian;
+    /// let mut solver = Hungarian::default();
+    /// assert_eq!(solver.solve(&[4.0, 1.0, 2.0, 3.0], 2, 2), &[Some(1), Some(0)]);
+    /// ```
+    pub fn solve(&mut self, cost: &[f32], rows: usize, cols: usize) -> &[Option<usize>] {
+        assert_eq!(cost.len(), rows * cols, "cost matrix shape");
+        let Hungarian {
+            u,
+            v,
+            p,
+            way,
+            minv,
+            used,
+            assign,
+        } = self;
+        reset(assign, rows, None);
+        if rows == 0 || cols == 0 {
+            return assign;
         }
-    };
+        let n = rows.max(cols);
 
-    // 1-indexed arrays per the standard formulation.
-    let mut u = vec![0.0_f64; n + 1];
-    let mut v = vec![0.0_f64; n + 1];
-    let mut p = vec![0_usize; n + 1]; // p[j] = row assigned to column j
-    let mut way = vec![0_usize; n + 1];
+        // Pad to n×n with zeros (padded cells are "free" dummy assignments).
+        // Using f64 internally for numerical stability of the potentials.
+        let get = |i: usize, j: usize| -> f64 {
+            if i < rows && j < cols {
+                cost[i * cols + j] as f64
+            } else {
+                0.0
+            }
+        };
 
-    for i in 1..=n {
-        p[0] = i;
-        let mut j0 = 0_usize;
-        let mut minv = vec![f64::INFINITY; n + 1];
-        let mut used = vec![false; n + 1];
-        loop {
-            used[j0] = true;
-            let i0 = p[j0];
-            let mut delta = f64::INFINITY;
-            let mut j1 = 0;
-            for j in 1..=n {
-                if !used[j] {
-                    let cur = get(i0 - 1, j - 1) - u[i0] - v[j];
-                    if cur < minv[j] {
-                        minv[j] = cur;
-                        way[j] = j0;
-                    }
-                    if minv[j] < delta {
-                        delta = minv[j];
-                        j1 = j;
+        // 1-indexed arrays per the standard formulation.
+        reset(u, n + 1, 0.0);
+        reset(v, n + 1, 0.0);
+        reset(p, n + 1, 0); // p[j] = row assigned to column j
+        reset(way, n + 1, 0);
+
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0_usize;
+            reset(minv, n + 1, f64::INFINITY);
+            reset(used, n + 1, false);
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let mut delta = f64::INFINITY;
+                let mut j1 = 0;
+                for j in 1..=n {
+                    if !used[j] {
+                        let cur = get(i0 - 1, j - 1) - u[i0] - v[j];
+                        if cur < minv[j] {
+                            minv[j] = cur;
+                            way[j] = j0;
+                        }
+                        if minv[j] < delta {
+                            delta = minv[j];
+                            j1 = j;
+                        }
                     }
                 }
-            }
-            for j in 0..=n {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
+                for j in 0..=n {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
                 }
             }
-            j0 = j1;
-            if p[j0] == 0 {
-                break;
+            // Augment along the alternating path.
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
             }
         }
-        // Augment along the alternating path.
-        loop {
-            let j1 = way[j0];
-            p[j0] = p[j1];
-            j0 = j1;
-            if j0 == 0 {
-                break;
-            }
-        }
-    }
 
-    let mut assign = vec![None; rows];
-    for (j, &i) in p.iter().enumerate().take(n + 1).skip(1) {
-        if i >= 1 && i <= rows && j <= cols {
-            assign[i - 1] = Some(j - 1);
+        for (j, &i) in p.iter().enumerate().take(n + 1).skip(1) {
+            if i >= 1 && i <= rows && j <= cols {
+                assign[i - 1] = Some(j - 1);
+            }
         }
+        assign
     }
-    assign
 }
 
 /// Total cost of an assignment produced by [`hungarian`].

@@ -28,7 +28,7 @@ pub mod rect;
 
 pub use dbscan::{dbscan, DbscanParams};
 pub use grid_index::GridIndex;
-pub use hungarian::hungarian;
+pub use hungarian::{hungarian, Hungarian};
 pub use point::Point;
 pub use polygon::Polygon;
 pub use polyline::Polyline;

@@ -68,14 +68,39 @@ impl Polyline {
     /// let r = line.resample(3);
     /// assert_eq!(r.points[1], Point::new(5.0, 0.0));
     /// ```
+    ///
+    /// Each point equals `self.point_at(i / (n - 1))`. The targets never
+    /// decrease, so one walk serves them all: `point_at` would skip the
+    /// same leading segments, summing the same lengths in the same order.
     pub fn resample(&self, n: usize) -> Polyline {
         assert!(n >= 1);
-        if n == 1 {
-            return Polyline::new(vec![self.first()]);
+        if n == 1 || self.points.len() == 1 {
+            return Polyline::new(vec![self.first(); n]);
         }
-        let pts = (0..n)
-            .map(|i| self.point_at(i as f32 / (n - 1) as f32))
-            .collect();
+        let total = self.length();
+        if total <= 0.0 {
+            return Polyline::new(vec![self.first(); n]);
+        }
+        let mut pts = Vec::with_capacity(n);
+        let (mut seg_i, mut acc) = (0, 0.0);
+        for i in 0..n {
+            let target = (i as f32 / (n - 1) as f32).clamp(0.0, 1.0) * total;
+            // A NaN target (0 · ∞) matches no segment.
+            while !target.is_nan() && seg_i + 1 < self.points.len() {
+                let (a, b) = (self.points[seg_i], self.points[seg_i + 1]);
+                let seg = a.dist(&b);
+                if acc + seg >= target {
+                    let local = if seg > 0.0 { (target - acc) / seg } else { 0.0 };
+                    pts.push(a.lerp(&b, local));
+                    break;
+                }
+                acc += seg;
+                seg_i += 1;
+            }
+            if pts.len() == i {
+                pts.push(self.last());
+            }
+        }
         Polyline::new(pts)
     }
 
@@ -148,6 +173,45 @@ mod tests {
         assert!(r.last().dist(&l.last()) < 1e-4);
         // arc-length spacing: second point at distance 2 along path
         assert!(r.points[1].dist(&Point::new(2.0, 0.0)) < 1e-4);
+    }
+
+    // The one-walk `resample` equals `point_at` at each fraction,
+    // bit for bit, on random polylines with repeated points
+    // (zero-length segments).
+    proptest::proptest! {
+        #[test]
+        fn resample_matches_point_at(
+            len in 1usize..12,
+            n in 1usize..40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut s = seed;
+            let mut next = || {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((s >> 40) as f32 / (1u64 << 24) as f32) * 400.0 - 50.0
+            };
+            let mut pts: Vec<Point> = Vec::new();
+            for i in 0..len {
+                let p = match pts.last() {
+                    Some(&last) if i % 4 == 3 => last,
+                    _ => Point::new(next(), next()),
+                };
+                pts.push(p);
+            }
+            let line = Polyline::new(pts);
+            let got = line.resample(n);
+            proptest::prop_assert_eq!(got.points.len(), n);
+            for (i, p) in got.points.iter().enumerate() {
+                let want = if n == 1 {
+                    line.first()
+                } else {
+                    line.point_at(i as f32 / (n - 1) as f32)
+                };
+                proptest::prop_assert_eq!((p.x.to_bits(), p.y.to_bits()), (want.x.to_bits(), want.y.to_bits()));
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! (bounds-check-free, bit-identical to the plain loops). `forward`
 //! computes into layer-owned buffers reused across calls, and
 //! `infer_into` + the thread-local scratch pool make the inference path
-//! allocation-free after warm-up — these run per candidate detection in
-//! the recurrent tracker's scoring loop, the per-frame hot path.
+//! allocation-free after warm-up.
 
 use crate::kernels::{self, matvec_acc};
 use crate::{OptimKind, Param, XavierInit};

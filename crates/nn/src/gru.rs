@@ -95,8 +95,7 @@ impl GruCell {
 
     /// One inference step into a caller-owned state buffer. All gate
     /// temporaries come from the thread-local scratch pool, so the step
-    /// performs zero heap allocations after warm-up — this is the inner
-    /// loop of recurrent tracker scoring.
+    /// performs zero heap allocations after warm-up.
     pub fn infer_into(&self, x: &[f32], h_prev: &[f32], h_out: &mut Vec<f32>) {
         debug_assert_eq!(x.len(), self.in_dim);
         debug_assert_eq!(h_prev.len(), self.hidden);

@@ -26,7 +26,9 @@ pub mod train;
 pub mod types;
 
 pub use kalman::KalmanBox;
-pub use recurrent::{RecurrentTracker, TrackerModel, DET_FEAT_DIM};
+pub use recurrent::{
+    PackedTracker, PairBatch, RecurrentTracker, StepBatch, TrackerModel, DET_FEAT_DIM,
+};
 pub use sort::SortTracker;
 pub use stitch::{stitch_tracks, StitchConfig};
 pub use train::{train_tracker_model, TrainConfig};

@@ -9,13 +9,23 @@
 //! The `t_elapsed` input is what makes the model *reduced-rate aware*: the
 //! head can scale the track's learned velocity by the actual frame gap, so
 //! one model serves every sampling gap the tuner may choose.
+//!
+//! [`TrackerModel`] owns the trainable layers; its `score`, `match_prob`
+//! and `advance` evaluate one pair or one step at a time and serve
+//! training and tests. [`RecurrentTracker`] runs inference on a
+//! [`PackedTracker`]: the same weights transposed once into GEMM layout,
+//! so each frame scores all gated pairs in one GEMM and advances all
+//! updated tracks in two. Every output element still adds its terms in
+//! the scalar order, so both paths agree bit for bit (DESIGN.md,
+//! "Tracker inference").
 
 use crate::types::{Track, TrackId};
 use otif_cv::Detection;
-use otif_geom::hungarian;
+use otif_geom::Hungarian;
 use otif_nn::kernels;
 use otif_nn::{Activation, GruCell, Mlp, OptimKind, XavierInit};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Per-detection feature dimension: 4 box + 1 elapsed + 8 appearance.
 pub const DET_FEAT_DIM: usize = 5 + otif_cv::APPEARANCE_DIM;
@@ -26,6 +36,16 @@ pub const HIDDEN: usize = 24;
 /// Pairwise features fed to the matching head alongside the track state
 /// and candidate features: Δx, Δy, Δlog w, Δlog h, appearance cosine.
 pub const PAIR_FEAT_DIM: usize = 5;
+
+/// Width of the matching head's hidden layer.
+pub const HEAD_HIDDEN: usize = 32;
+
+/// Head inputs that depend on the candidate: its features, then the
+/// pairwise ones. They follow the track state in the head's input.
+const CAND_DIM: usize = DET_FEAT_DIM + PAIR_FEAT_DIM;
+
+/// GRU gate input width: the detection features, then the state.
+const GATE_IN: usize = DET_FEAT_DIM + HIDDEN;
 
 /// Build the per-detection feature vector.
 ///
@@ -46,8 +66,19 @@ pub fn det_features_into(
     frame_h: f32,
     f: &mut Vec<f32>,
 ) {
-    let c = det.rect.center();
     f.clear();
+    push_det_features(det, t_elapsed, frame_w, frame_h, f);
+}
+
+/// Append the [`det_features`] of `det` to `f`.
+fn push_det_features(
+    det: &Detection,
+    t_elapsed: usize,
+    frame_w: f32,
+    frame_h: f32,
+    f: &mut Vec<f32>,
+) {
+    let c = det.rect.center();
     f.push(c.x / frame_w);
     f.push(c.y / frame_h);
     f.push(det.rect.w / frame_w);
@@ -90,6 +121,17 @@ fn pair_features(
     [dx, dy, dlw, dlh, cos]
 }
 
+/// Whether `cand` lies farther from the track's last detection than an
+/// object could plausibly travel in `t_elapsed` frames (relative to its
+/// box size); such pairs get matching probability 0 without scoring.
+fn gated_out(last_det: &Detection, cand: &Detection, t_elapsed: usize) -> bool {
+    let diag = (last_det.rect.w * last_det.rect.w + last_det.rect.h * last_det.rect.h)
+        .sqrt()
+        .max(8.0);
+    let max_dist = diag * (1.5 + 0.6 * t_elapsed as f32);
+    last_det.rect.center().dist(&cand.rect.center()) > max_dist
+}
+
 /// The trainable tracker model: GRU over detection features + matching
 /// head over (track state, candidate, pairwise) features.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -102,6 +144,11 @@ pub struct TrackerModel {
     pub frame_w: f32,
     /// Frame height used for feature normalization.
     pub frame_h: f32,
+    /// Inference weights, packed on first use. `train_example` clears
+    /// them; code that changes `gru` or `head` by hand must pack a fresh
+    /// [`PackedTracker`] itself.
+    #[serde(skip)]
+    packed: OnceLock<PackedTracker>,
 }
 
 impl TrackerModel {
@@ -110,7 +157,7 @@ impl TrackerModel {
         let mut init = XavierInit::new(seed);
         let gru = GruCell::new(DET_FEAT_DIM, HIDDEN, &mut init);
         let head = Mlp::new(
-            &[HIDDEN + DET_FEAT_DIM + PAIR_FEAT_DIM, 32, 1],
+            &[HIDDEN + CAND_DIM, HEAD_HIDDEN, 1],
             Activation::Relu,
             Activation::Linear,
             &mut init,
@@ -120,24 +167,27 @@ impl TrackerModel {
             head,
             frame_w,
             frame_h,
+            packed: OnceLock::new(),
         }
     }
 
+    /// The inference weights, packed on the first call and shared by
+    /// every tracker that runs this model.
+    pub fn packed(&self) -> &PackedTracker {
+        self.packed.get_or_init(|| PackedTracker::new(self))
+    }
+
     fn head_input(&self, h: &[f32], cand_feat: &[f32], pair: &[f32; PAIR_FEAT_DIM]) -> Vec<f32> {
-        let mut x = Vec::with_capacity(HIDDEN + DET_FEAT_DIM + PAIR_FEAT_DIM);
+        let mut x = Vec::with_capacity(HIDDEN + CAND_DIM);
         x.extend_from_slice(h);
         x.extend_from_slice(cand_feat);
         x.extend_from_slice(pair);
         x
     }
 
-    /// Inference: matching logit for (track state, candidate detection).
-    ///
-    /// This is the hot loop of reduced-rate tracking (one call per
-    /// (detection, active track) pair per processed frame); the feature
-    /// vector, head input and head activations all live in the
-    /// thread-local scratch pool, so a call performs zero heap
-    /// allocations after warm-up.
+    /// Matching logit for (track state, candidate detection), one pair at
+    /// a time. The tracker scores whole frames on [`PackedTracker`]
+    /// instead; this is the oracle it is tested against.
     pub fn score(
         &self,
         h: &[f32],
@@ -177,12 +227,7 @@ impl TrackerModel {
         cand: &Detection,
         t_elapsed: usize,
     ) -> f32 {
-        let diag = (last_det.rect.w * last_det.rect.w + last_det.rect.h * last_det.rect.h)
-            .sqrt()
-            .max(8.0);
-        let max_dist = diag * (1.5 + 0.6 * t_elapsed as f32);
-        let dist = last_det.rect.center().dist(&cand.rect.center());
-        if dist > max_dist {
+        if gated_out(last_det, cand, t_elapsed) {
             return 0.0;
         }
         otif_nn::sigmoid(self.score(h, last_det, cand, t_elapsed))
@@ -190,19 +235,8 @@ impl TrackerModel {
 
     /// Advance a track's hidden state with a newly appended detection.
     pub fn advance(&self, h: &[f32], det: &Detection, t_elapsed: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(h.len());
-        self.advance_into(h, det, t_elapsed, &mut out);
-        out
-    }
-
-    /// [`Self::advance`] into a caller-owned state buffer; together with
-    /// the GRU's scratch-pooled gate temporaries the step performs zero
-    /// heap allocations after warm-up.
-    pub fn advance_into(&self, h: &[f32], det: &Detection, t_elapsed: usize, out: &mut Vec<f32>) {
-        let mut f = kernels::take_buf(0);
-        det_features_into(det, t_elapsed, self.frame_w, self.frame_h, &mut f);
-        self.gru.infer_into(&f, h, out);
-        kernels::put_buf(f);
+        let f = det_features(det, t_elapsed, self.frame_w, self.frame_h);
+        self.gru.infer(&f, h)
     }
 
     /// Training: run the GRU over a prefix (caching), then score each
@@ -216,6 +250,7 @@ impl TrackerModel {
         lr: f32,
         step: bool,
     ) -> f32 {
+        self.packed.take();
         // GRU forward over the prefix.
         let mut feats = Vec::with_capacity(prefix.len());
         let mut prev_frame: Option<usize> = None;
@@ -251,16 +286,314 @@ impl TrackerModel {
     }
 }
 
+/// A [`TrackerModel`]'s inference weights, transposed once into the
+/// `k × n` layout of [`kernels::matmul_blocked`].
+///
+/// A GEMM lane adds its `k` terms in increasing order onto the value it
+/// is seeded with, a multiply then an add, exactly as the scalar matvec
+/// does from the bias. Splitting the head's input at the track state is
+/// therefore exact: the per-track prefix (bias plus the `HIDDEN` state
+/// terms) is the first part of every pair's sum, and the pair GEMM adds
+/// the remaining `CAND_DIM` terms onto it. Likewise the GRU's update and
+/// reset gates share one 48-wide GEMM over `[x; h]`.
+#[derive(Debug, Clone)]
+pub struct PackedTracker {
+    frame_w: f32,
+    frame_h: f32,
+    /// `[Wz Wr; Uz Ur]ᵀ`: `GATE_IN × 2·HIDDEN`.
+    zr_t: Vec<f32>,
+    /// `[bz; br]`.
+    zr_b: Vec<f32>,
+    /// `[Wh; Uh]ᵀ`: `GATE_IN × HIDDEN`.
+    hc_t: Vec<f32>,
+    /// `bh`.
+    hc_b: Vec<f32>,
+    /// Head layer-1 columns for the track state: `HIDDEN × HEAD_HIDDEN`.
+    head_h_t: Vec<f32>,
+    /// Head layer-1 columns for the candidate: `CAND_DIM × HEAD_HIDDEN`.
+    head_c_t: Vec<f32>,
+    /// Head layer-1 bias.
+    head_b: Vec<f32>,
+    /// Head output row (layer 2 has one output).
+    out_w: Vec<f32>,
+    /// Head output bias.
+    out_b: f32,
+}
+
+/// Transpose the `rows × cols` row-major `w` (row stride `stride`) into
+/// `out`, whose rows are `n` wide, starting at row `row0` and column
+/// `col0`.
+fn transpose_into(
+    w: &[f32],
+    (stride, rows, cols): (usize, usize, usize),
+    out: &mut [f32],
+    (n, row0, col0): (usize, usize, usize),
+) {
+    for r in 0..rows {
+        for c in 0..cols {
+            out[(row0 + c) * n + col0 + r] = w[r * stride + c];
+        }
+    }
+}
+
+/// Refill `out` with `rows` copies of `seed`.
+fn seed_rows(out: &mut Vec<f32>, seed: &[f32], rows: usize) {
+    out.clear();
+    for _ in 0..rows {
+        out.extend_from_slice(seed);
+    }
+}
+
+impl PackedTracker {
+    /// Pack `model`'s weights.
+    ///
+    /// # Panics
+    /// If the model's shapes or activations differ from those
+    /// [`TrackerModel::new`] builds.
+    pub fn new(model: &TrackerModel) -> Self {
+        let (gru, hd, inp) = (&model.gru, HIDDEN, DET_FEAT_DIM);
+        assert_eq!((gru.in_dim, gru.hidden), (inp, hd), "tracker GRU shape");
+        let [l1, l2] = model.head.layers.as_slice() else {
+            panic!("tracker head must have two layers");
+        };
+        assert_eq!((l1.in_dim, l1.out_dim), (hd + CAND_DIM, HEAD_HIDDEN));
+        assert_eq!((l2.in_dim, l2.out_dim), (HEAD_HIDDEN, 1));
+        assert_eq!((l1.act, l2.act), (Activation::Relu, Activation::Linear));
+
+        let mut zr_t = vec![0.0; GATE_IN * 2 * hd];
+        let mut hc_t = vec![0.0; GATE_IN * hd];
+        for g in 0..3 {
+            let (out, n, col0) = match g {
+                2 => (&mut hc_t, hd, 0),
+                _ => (&mut zr_t, 2 * hd, g * hd),
+            };
+            let (w, u) = (&gru.w.w[g * hd * inp..], &gru.u.w[g * hd * hd..]);
+            transpose_into(w, (inp, hd, inp), out, (n, 0, col0));
+            transpose_into(u, (hd, hd, hd), out, (n, inp, col0));
+        }
+        let (w1, in1) = (&l1.weight.w, l1.in_dim);
+        let mut head_h_t = vec![0.0; hd * HEAD_HIDDEN];
+        let mut head_c_t = vec![0.0; CAND_DIM * HEAD_HIDDEN];
+        let (state_cols, cand_cols) = ((in1, HEAD_HIDDEN, hd), (in1, HEAD_HIDDEN, CAND_DIM));
+        transpose_into(w1, state_cols, &mut head_h_t, (HEAD_HIDDEN, 0, 0));
+        transpose_into(&w1[hd..], cand_cols, &mut head_c_t, (HEAD_HIDDEN, 0, 0));
+        PackedTracker {
+            frame_w: model.frame_w,
+            frame_h: model.frame_h,
+            zr_t,
+            zr_b: gru.b.w[..2 * hd].to_vec(),
+            hc_t,
+            hc_b: gru.b.w[2 * hd..].to_vec(),
+            head_h_t,
+            head_c_t,
+            head_b: l1.bias.w.clone(),
+            out_w: l2.weight.w.clone(),
+            out_b: l2.bias.w[0],
+        }
+    }
+
+    /// Score every queued pair: one GEMM adds the candidate terms of all
+    /// pairs onto their track prefixes, then the ReLU, the output row and
+    /// the sigmoid run per pair. Each probability equals
+    /// [`TrackerModel::match_prob`]'s bit for bit.
+    pub fn score(&self, pairs: &mut PairBatch) {
+        let m = pairs.len();
+        let PairBatch { rows, acc, probs } = pairs;
+        kernels::matmul_blocked(rows, &self.head_c_t, acc, m, CAND_DIM, HEAD_HIDDEN);
+        probs.clear();
+        probs.extend(acc.chunks_exact(HEAD_HIDDEN).map(|hidden| {
+            let mut logit = self.out_b;
+            for (w, a) in self.out_w.iter().zip(hidden) {
+                logit += w * a.max(0.0);
+            }
+            otif_nn::sigmoid(logit)
+        }));
+    }
+
+    /// Run every queued GRU step: the update and reset gates in one GEMM
+    /// over `[x; h]`, the candidate state in one over `[x; r ⊙ h]`, and
+    /// the next states' head prefixes in a third. Each state equals
+    /// [`TrackerModel::advance`]'s bit for bit.
+    pub fn advance(&self, steps: &mut StepBatch) {
+        let (rows, hd) = (steps.len(), HIDDEN);
+        let StepBatch {
+            x,
+            h_prev,
+            gates,
+            h_next,
+            prefix,
+        } = steps;
+        seed_rows(gates, &self.zr_b, rows);
+        kernels::matmul_blocked(x, &self.zr_t, gates, rows, GATE_IN, 2 * hd);
+        gates.iter_mut().for_each(|v| *v = otif_nn::sigmoid(*v));
+        // The candidate gate reads r ⊙ h where the state was.
+        let zr = gates.chunks_exact(2 * hd);
+        for ((x, zr), h) in x
+            .chunks_exact_mut(GATE_IN)
+            .zip(zr)
+            .zip(h_prev.chunks_exact(hd))
+        {
+            for ((d, r), hv) in x[DET_FEAT_DIM..].iter_mut().zip(&zr[hd..]).zip(h) {
+                *d = r * hv;
+            }
+        }
+        seed_rows(h_next, &self.hc_b, rows);
+        kernels::matmul_blocked(x, &self.hc_t, h_next, rows, GATE_IN, hd);
+        let zr = gates.chunks_exact(2 * hd);
+        for ((hn, zr), h) in h_next
+            .chunks_exact_mut(hd)
+            .zip(zr)
+            .zip(h_prev.chunks_exact(hd))
+        {
+            for ((v, z), hv) in hn.iter_mut().zip(&zr[..hd]).zip(h) {
+                *v = (1.0 - z) * hv + z * v.tanh();
+            }
+        }
+        seed_rows(prefix, &self.head_b, rows);
+        kernels::matmul_blocked(h_next, &self.head_h_t, prefix, rows, hd, HEAD_HIDDEN);
+    }
+}
+
+/// (track, candidate) pairs queued for one [`PackedTracker::score`] GEMM.
+/// Reused across frames, it allocates only while the batch grows.
+#[derive(Debug, Default)]
+pub struct PairBatch {
+    /// Candidate-side head inputs, `CAND_DIM` per pair.
+    rows: Vec<f32>,
+    /// Head hidden layer per pair, seeded with the track's prefix.
+    acc: Vec<f32>,
+    probs: Vec<f32>,
+}
+
+impl PairBatch {
+    /// Drop every queued pair.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.acc.clear();
+        self.probs.clear();
+    }
+
+    /// Number of queued pairs.
+    pub fn len(&self) -> usize {
+        self.acc.len() / HEAD_HIDDEN
+    }
+
+    /// Whether no pair is queued.
+    pub fn is_empty(&self) -> bool {
+        self.acc.is_empty()
+    }
+
+    /// Queue the pair of candidate `cand`, `t_elapsed` frames after the
+    /// track's last detection `last`, with the track's head `prefix`
+    /// (from [`StepBatch::prefix`]). A pair the spatial gate rules out
+    /// has probability 0 and is not queued; returns whether it was.
+    pub fn push(
+        &mut self,
+        packed: &PackedTracker,
+        prefix: &[f32],
+        last: &Detection,
+        cand: &Detection,
+        t_elapsed: usize,
+    ) -> bool {
+        if gated_out(last, cand, t_elapsed) {
+            return false;
+        }
+        let (fw, fh) = (packed.frame_w, packed.frame_h);
+        push_det_features(cand, t_elapsed, fw, fh, &mut self.rows);
+        self.rows
+            .extend_from_slice(&pair_features(last, cand, fw, fh));
+        self.acc.extend_from_slice(&prefix[..HEAD_HIDDEN]);
+        true
+    }
+
+    /// The queued pairs' matching probabilities, in queue order, once
+    /// [`PackedTracker::score`] has run.
+    pub fn probs(&self) -> &[f32] {
+        &self.probs
+    }
+}
+
+/// GRU steps queued for one [`PackedTracker::advance`]. Reused across
+/// frames, it allocates only while the batch grows.
+#[derive(Debug, Default)]
+pub struct StepBatch {
+    /// `[x; h]` per step, `GATE_IN` wide.
+    x: Vec<f32>,
+    h_prev: Vec<f32>,
+    /// Update and reset gates per step, `2 · HIDDEN` wide.
+    gates: Vec<f32>,
+    h_next: Vec<f32>,
+    prefix: Vec<f32>,
+}
+
+impl StepBatch {
+    /// Drop every queued step.
+    pub fn clear(&mut self) {
+        self.x.clear();
+        self.h_prev.clear();
+    }
+
+    /// Number of queued steps.
+    pub fn len(&self) -> usize {
+        self.h_prev.len() / HIDDEN
+    }
+
+    /// Whether no step is queued.
+    pub fn is_empty(&self) -> bool {
+        self.h_prev.is_empty()
+    }
+
+    /// Queue the step that appends `det`, `t_elapsed` frames after the
+    /// track's previous detection (0 for its first), to the track with
+    /// state `h` (`HIDDEN` wide; zeros for a new track).
+    pub fn push(&mut self, packed: &PackedTracker, det: &Detection, t_elapsed: usize, h: &[f32]) {
+        let h = &h[..HIDDEN];
+        push_det_features(det, t_elapsed, packed.frame_w, packed.frame_h, &mut self.x);
+        self.x.extend_from_slice(h);
+        self.h_prev.extend_from_slice(h);
+    }
+
+    /// Step `i`'s next state, once [`PackedTracker::advance`] has run.
+    pub fn state(&self, i: usize) -> &[f32] {
+        &self.h_next[i * HIDDEN..][..HIDDEN]
+    }
+
+    /// The head prefix of step `i`'s next state, for
+    /// [`PairBatch::push`].
+    pub fn prefix(&self, i: usize) -> &[f32] {
+        &self.prefix[i * HEAD_HIDDEN..][..HEAD_HIDDEN]
+    }
+}
+
+/// Buffers a [`RecurrentTracker`] reuses from frame to frame.
+#[derive(Default)]
+struct Scratch {
+    pairs: PairBatch,
+    /// Flat `det · tracks + track` index of each queued pair.
+    pair_at: Vec<usize>,
+    /// Matching probabilities, `dets × tracks`.
+    probs: Vec<f32>,
+    /// Assignment costs `1 − p`, `dets × tracks`.
+    cost: Vec<f32>,
+    hungarian: Hungarian,
+    /// Accepted track per detection.
+    assign: Vec<Option<usize>>,
+    steps: StepBatch,
+    matched: Vec<bool>,
+}
+
 struct ActiveRt {
     track: Track,
-    h: Vec<f32>,
+    h: [f32; HIDDEN],
+    /// Head prefix of `h` (see [`PackedTracker`]).
+    prefix: [f32; HEAD_HIDDEN],
     last_frame: usize,
     misses: u32,
 }
 
-/// Online tracker driving [`TrackerModel`] over a frame stream.
-pub struct RecurrentTracker {
-    model: TrackerModel,
+/// Online tracker driving a [`TrackerModel`] over a frame stream.
+pub struct RecurrentTracker<'a> {
+    packed: &'a PackedTracker,
     /// Minimum matching probability to accept an assignment.
     pub match_threshold: f32,
     /// Processed frames a track survives unmatched.
@@ -268,18 +601,21 @@ pub struct RecurrentTracker {
     active: Vec<ActiveRt>,
     done: Vec<Track>,
     next_id: TrackId,
+    scratch: Scratch,
 }
 
-impl RecurrentTracker {
-    /// Build a tracker around a (trained) model.
-    pub fn new(model: TrackerModel) -> Self {
+impl<'a> RecurrentTracker<'a> {
+    /// Build a tracker around a (trained) model, sharing its packed
+    /// weights.
+    pub fn new(model: &'a TrackerModel) -> Self {
         RecurrentTracker {
-            model,
+            packed: model.packed(),
             match_threshold: 0.5,
             max_misses: 4,
             active: Vec::new(),
             done: Vec::new(),
             next_id: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -288,75 +624,104 @@ impl RecurrentTracker {
         self.active.len()
     }
 
-    /// The best matching probability of a detection against any active
-    /// track, without mutating tracker state. Used by variable-rate
-    /// controllers to gauge matching confidence.
-    pub fn best_match_prob(&self, frame: usize, det: &Detection) -> f32 {
-        self.active
-            .iter()
-            .map(|t| {
+    /// The matching probability of every (detection, active track) pair
+    /// at `frame`, row-major `dets × tracks`, as
+    /// [`TrackerModel::match_prob`] gives it; scored in one batch.
+    fn match_probs(&mut self, frame: usize, dets: &[Detection]) {
+        let (packed, s) = (self.packed, &mut self.scratch);
+        s.pairs.clear();
+        s.pair_at.clear();
+        for (di, d) in dets.iter().enumerate() {
+            for (ti, t) in self.active.iter().enumerate() {
+                let last = &t
+                    .track
+                    .dets
+                    .last()
+                    .expect("active tracks hold a detection")
+                    .1;
                 let te = frame.saturating_sub(t.last_frame);
-                let last = &t.track.dets.last().unwrap().1;
-                self.model.match_prob(&t.h, last, det, te)
-            })
-            .fold(0.0f32, f32::max)
+                if s.pairs.push(packed, &t.prefix, last, d, te) {
+                    s.pair_at.push(di * self.active.len() + ti);
+                }
+            }
+        }
+        packed.score(&mut s.pairs);
+        s.probs.clear();
+        s.probs.resize(dets.len() * self.active.len(), 0.0);
+        for (&at, &p) in s.pair_at.iter().zip(s.pairs.probs()) {
+            s.probs[at] = p;
+        }
+    }
+
+    /// The best matching probability of a detection against any active
+    /// track, without changing which tracks exist. Used by variable-rate
+    /// controllers to gauge matching confidence.
+    pub fn best_match_prob(&mut self, frame: usize, det: &Detection) -> f32 {
+        self.match_probs(frame, std::slice::from_ref(det));
+        self.scratch.probs.iter().copied().fold(0.0f32, f32::max)
     }
 
     /// Process the detections of `frame` (frames fed in increasing order,
     /// any gaps allowed).
     pub fn step(&mut self, frame: usize, dets: Vec<Detection>) {
-        let assignment = if !dets.is_empty() && !self.active.is_empty() {
-            let probs: Vec<Vec<f32>> = dets
-                .iter()
-                .map(|d| {
-                    self.active
-                        .iter()
-                        .map(|t| {
-                            let te = frame - t.last_frame;
-                            let last = &t.track.dets.last().unwrap().1;
-                            self.model.match_prob(&t.h, last, d, te)
-                        })
-                        .collect()
-                })
-                .collect();
-            let cost: Vec<Vec<f32>> = probs
-                .iter()
-                .map(|row| row.iter().map(|p| 1.0 - p).collect())
-                .collect();
-            let assign = hungarian(&cost);
-            assign
-                .into_iter()
-                .enumerate()
-                .map(|(di, a)| a.filter(|&ti| probs[di][ti] >= self.match_threshold))
-                .collect()
+        let nt = self.active.len();
+        if !dets.is_empty() && nt > 0 {
+            self.match_probs(frame, &dets);
+        }
+        let (packed, s) = (self.packed, &mut self.scratch);
+        s.assign.clear();
+        if !dets.is_empty() && nt > 0 {
+            s.cost.clear();
+            s.cost.extend(s.probs.iter().map(|p| 1.0 - p));
+            let assign = s.hungarian.solve(&s.cost, dets.len(), nt);
+            let (probs, thr) = (&s.probs, self.match_threshold);
+            s.assign.extend(
+                assign
+                    .iter()
+                    .enumerate()
+                    .map(|(di, a)| a.filter(|&ti| probs[di * nt + ti] >= thr)),
+            );
         } else {
-            vec![None; dets.len()]
-        };
+            s.assign.resize(dets.len(), None);
+        }
 
-        let mut matched = vec![false; self.active.len()];
+        // Advance every matched track and start every new one in one
+        // batch: step `di` appends detection `di` to its track, or to a
+        // new track's zero state.
+        s.steps.clear();
+        for (det, a) in dets.iter().zip(&s.assign) {
+            match *a {
+                Some(ti) => {
+                    let t = &self.active[ti];
+                    s.steps.push(packed, det, frame - t.last_frame, &t.h);
+                }
+                None => s.steps.push(packed, det, 0, &[0.0; HIDDEN]),
+            }
+        }
+        packed.advance(&mut s.steps);
+
+        s.matched.clear();
+        s.matched.resize(nt, false);
         let mut unmatched = Vec::new();
         for (di, det) in dets.into_iter().enumerate() {
-            match assignment[di] {
+            match s.assign[di] {
                 Some(ti) => {
                     let t = &mut self.active[ti];
-                    let te = frame - t.last_frame;
-                    let mut next_h = kernels::take_buf(0);
-                    self.model.advance_into(&t.h, &det, te, &mut next_h);
-                    std::mem::swap(&mut t.h, &mut next_h);
-                    kernels::put_buf(next_h);
+                    t.h.copy_from_slice(s.steps.state(di));
+                    t.prefix.copy_from_slice(s.steps.prefix(di));
                     t.track.push(frame, det);
                     t.last_frame = frame;
                     t.misses = 0;
-                    matched[ti] = true;
+                    s.matched[ti] = true;
                 }
-                None => unmatched.push(det),
+                None => unmatched.push((di, det)),
             }
         }
 
         let max_misses = self.max_misses;
         let mut idx = 0;
         self.active.retain_mut(|t| {
-            let was = matched[idx];
+            let was = s.matched[idx];
             idx += 1;
             if was {
                 return true;
@@ -373,18 +738,21 @@ impl RecurrentTracker {
             }
         });
 
-        for det in unmatched {
+        for (di, det) in unmatched {
             let id = self.next_id;
             self.next_id += 1;
-            let h = self.model.advance(&self.model.gru.zero_state(), &det, 0);
             let mut track = Track::new(id, det.class);
             track.push(frame, det);
-            self.active.push(ActiveRt {
+            let mut t = ActiveRt {
                 track,
-                h,
+                h: [0.0; HIDDEN],
+                prefix: [0.0; HEAD_HIDDEN],
                 last_frame: frame,
                 misses: 0,
-            });
+            };
+            t.h.copy_from_slice(s.steps.state(di));
+            t.prefix.copy_from_slice(s.steps.prefix(di));
+            self.active.push(t);
         }
     }
 
@@ -427,7 +795,7 @@ mod tests {
     #[test]
     fn untrained_model_runs_end_to_end() {
         let model = TrackerModel::new(320.0, 192.0, 3);
-        let mut t = RecurrentTracker::new(model);
+        let mut t = RecurrentTracker::new(&model);
         t.match_threshold = 0.0; // untrained: accept best assignment
         for f in 0..8 {
             t.step(f, vec![det(f as f32 * 5.0, 50.0, 0.2)]);
@@ -479,7 +847,7 @@ mod tests {
     #[test]
     fn unmatched_detections_start_new_tracks() {
         let model = TrackerModel::new(320.0, 192.0, 3);
-        let mut t = RecurrentTracker::new(model);
+        let mut t = RecurrentTracker::new(&model);
         t.match_threshold = 1.1; // nothing ever matches
         t.step(0, vec![det(0.0, 0.0, 0.0)]);
         t.step(1, vec![det(5.0, 0.0, 0.0)]);
@@ -489,7 +857,7 @@ mod tests {
     #[test]
     fn stale_tracks_terminate() {
         let model = TrackerModel::new(320.0, 192.0, 3);
-        let mut t = RecurrentTracker::new(model);
+        let mut t = RecurrentTracker::new(&model);
         t.match_threshold = 0.0;
         t.step(0, vec![det(0.0, 0.0, 0.0)]);
         t.step(1, vec![det(5.0, 0.0, 0.0)]);

@@ -8,7 +8,7 @@
 use crate::kalman::KalmanBox;
 use crate::types::{Track, TrackId};
 use otif_cv::Detection;
-use otif_geom::hungarian;
+use otif_geom::Hungarian;
 
 struct ActiveTrack {
     track: Track,
@@ -45,6 +45,9 @@ pub struct SortTracker {
     active: Vec<ActiveTrack>,
     done: Vec<Track>,
     next_id: TrackId,
+    /// Per-frame IoU costs, `dets × tracks`, and the solver's buffers.
+    cost: Vec<f32>,
+    hungarian: Hungarian,
 }
 
 impl Default for SortTracker {
@@ -61,6 +64,8 @@ impl SortTracker {
             active: Vec::new(),
             done: Vec::new(),
             next_id: 0,
+            cost: Vec::new(),
+            hungarian: Hungarian::default(),
         }
     }
 
@@ -84,11 +89,14 @@ impl SortTracker {
 
         // IoU cost matrix (rows = detections, cols = active tracks).
         let assignment = if !dets.is_empty() && !self.active.is_empty() {
-            let cost: Vec<Vec<f32>> = dets
-                .iter()
-                .map(|d| predicted.iter().map(|p| 1.0 - d.rect.iou(p)).collect())
-                .collect();
-            hungarian(&cost)
+            self.cost.clear();
+            for d in &dets {
+                self.cost
+                    .extend(predicted.iter().map(|p| 1.0 - d.rect.iou(p)));
+            }
+            self.hungarian
+                .solve(&self.cost, dets.len(), predicted.len())
+                .to_vec()
         } else {
             vec![None; dets.len()]
         };

@@ -211,7 +211,7 @@ mod tests {
         assert!(final_loss < 0.45, "final loss {final_loss}");
 
         // Track two objects sampled at gap 8 (large inter-frame motion).
-        let mut tracker = RecurrentTracker::new(model);
+        let mut tracker = RecurrentTracker::new(&model);
         let mut f = 0usize;
         while f < 40 {
             let dets = vec![

@@ -68,7 +68,7 @@ fn tracker_model_roundtrips_through_json() {
     let restored: TrackerModel = serde_json::from_str(&json).expect("deserialize tracker");
 
     // identical behaviour when driving a tracker
-    let run = |m: TrackerModel| -> Vec<Track> {
+    let run = |m: &TrackerModel| -> Vec<Track> {
         let mut t = RecurrentTracker::new(m);
         t.match_threshold = 0.3;
         for f in 0..6usize {
@@ -82,8 +82,8 @@ fn tracker_model_roundtrips_through_json() {
         }
         t.finish()
     };
-    let a = run(model);
-    let b = run(restored);
+    let a = run(&model);
+    let b = run(&restored);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.dets.len(), y.dets.len());
