@@ -20,12 +20,17 @@
 //! - batched vs looped forwards, and the renderer;
 //! - recurrent-tracker inference, looped (`TrackerModel`, one pair or
 //!   GRU step per call) vs packed (`PackedTracker`, one batch), per pair
-//!   and per step.
+//!   and per step;
+//! - frame-limit queries on one clip's tracks, a per-frame scan (every
+//!   track probed at every frame) vs `FrameLimitQuery::clip_matches`'
+//!   track-span sweep, and `select_frames` alone vs a stable-sort greedy
+//!   selection that checks every taken frame.
 //!
 //! Every pair of paths is checked before timing, on every run: GEMM
 //! paths, renderers and tracker paths must agree bit for bit, GEMM and
 //! naive convolutions under `==` (they may differ in the sign of a
-//! zero). So a speedup never comes at the cost of divergent results.
+//! zero), query paths in their answers. So a speedup never comes at the
+//! cost of divergent results.
 //!
 //! Usage: `cargo run --release -p otif-bench --bin kernels [tiny|small|experiment]`
 //!
@@ -38,15 +43,16 @@ use otif_bench::report::{print_table, write_report};
 use otif_core::proxy::proxy_input_dims;
 use otif_core::{SegProxyModel, WindowNet, PROXY_SCALES};
 use otif_cv::{Detection, DetectorArch, DetectorConfig, APPEARANCE_DIM};
-use otif_geom::Rect;
+use otif_geom::{Point, Polygon, Rect};
 use otif_nn::kernels::{
     conv2d_gemm, conv2d_gemm_portable, conv2d_naive, conv_path_for, matmul_blocked, matmul_naive,
     matmul_portable, ConvShape,
 };
 use otif_nn::{BatchTensor3, KernelPath, Tensor3};
+use otif_query::{ClipMatches, FrameLimitQuery, FrameQueryKind, FrameRef};
 use otif_sim::{Clip, DatasetKind, GrayImage, ObjectClass, Renderer};
 use otif_track::recurrent::HIDDEN;
-use otif_track::{PairBatch, StepBatch, TrackerModel};
+use otif_track::{PairBatch, StepBatch, Track, TrackerModel};
 use serde::Serialize;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -128,6 +134,34 @@ struct TrackerBench {
     packed_us_per_step: f64,
 }
 
+/// One frame-limit query on one clip: the per-frame scan vs the
+/// track-span sweep.
+#[derive(Serialize)]
+struct QueryBench {
+    query: String,
+    dataset: String,
+    frames: usize,
+    tracks: usize,
+    matches: usize,
+    reps: usize,
+    scan_us_per_clip: f64,
+    sweep_us_per_clip: f64,
+    speedup_sweep_over_scan: f64,
+}
+
+/// `select_frames` over many clips' matches vs the stable-sort greedy
+/// selection.
+#[derive(Serialize)]
+struct SelectBench {
+    clips: usize,
+    matches: usize,
+    limit: usize,
+    reps: usize,
+    greedy_us: f64,
+    select_us: f64,
+    speedup_select_over_greedy: f64,
+}
+
 #[derive(Serialize)]
 struct KernelsReport {
     mode: String,
@@ -138,6 +172,8 @@ struct KernelsReport {
     batched_vs_looped: Vec<BatchedBench>,
     render: Vec<RenderBench>,
     tracker: Vec<TrackerBench>,
+    queries: Vec<QueryBench>,
+    select: SelectBench,
 }
 
 /// Best-of-3 timing of `reps` calls to `f`, in seconds per call.
@@ -606,6 +642,200 @@ fn bench_tracker(model: &TrackerModel, tracks: usize, dets: usize, reps: usize) 
     }
 }
 
+/// Per-frame reference scan: every car track probed with
+/// `Track::center_at` at every frame, as `clip_matches` ran before the
+/// track-span sweep.
+fn scan_clip_matches(
+    q: &FrameLimitQuery,
+    tracks: &[Track],
+    num_frames: usize,
+) -> Vec<(usize, usize)> {
+    let cars: Vec<&Track> = tracks
+        .iter()
+        .filter(|t| {
+            matches!(
+                t.class,
+                ObjectClass::Car | ObjectClass::Truck | ObjectClass::Bus
+            )
+        })
+        .collect();
+    (0..num_frames)
+        .filter_map(|f| {
+            let visible: Vec<(Point, usize)> = cars
+                .iter()
+                .filter_map(|t| Some((t.center_at(f)?, t.last_frame() - t.first_frame())))
+                .collect();
+            let pts: Vec<Point> = visible.iter().map(|v| v.0).collect();
+            let min_dur = visible.iter().map(|v| v.1).min().unwrap_or(0);
+            q.positions_match(&pts).then_some((min_dur, f))
+        })
+        .collect()
+}
+
+/// Reference selection: a stable sort on (highest minimum duration,
+/// clip), then a greedy pass checking each candidate against every
+/// frame taken so far.
+fn greedy_select_frames(q: &FrameLimitQuery, per_clip: &[ClipMatches]) -> Vec<FrameRef> {
+    let mut ranked: Vec<(usize, f32, FrameRef)> = per_clip
+        .iter()
+        .flat_map(|(clip, fps, ms)| {
+            ms.iter()
+                .map(move |&(min_dur, frame)| (min_dur, *fps, FrameRef { clip: *clip, frame }))
+        })
+        .collect();
+    ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.2.clip.cmp(&b.2.clip)));
+    let mut out: Vec<FrameRef> = Vec::new();
+    for (_, fps, r) in ranked {
+        if out.len() >= q.limit {
+            break;
+        }
+        let sep = (q.min_separation_s * fps) as usize;
+        if !out
+            .iter()
+            .any(|o| o.clip == r.clip && o.frame.abs_diff(r.frame) < sep)
+        {
+            out.push(r);
+        }
+    }
+    out
+}
+
+/// A clip's ground-truth tracks sampled at every 4th frame, so query
+/// positions between samples are interpolated.
+fn sampled_tracks(clip: &Clip) -> Vec<Track> {
+    clip.gt_tracks
+        .iter()
+        .map(|g| {
+            let mut t = Track::new(g.id, g.class);
+            for (f, r) in g.states.iter().filter(|(f, _)| f % 4 == 0) {
+                t.push(
+                    *f,
+                    Detection {
+                        rect: *r,
+                        class: g.class,
+                        confidence: 0.9,
+                        appearance: vec![],
+                        debug_gt: None,
+                    },
+                );
+            }
+            t
+        })
+        .collect()
+}
+
+/// The serving mix's frame-count scan: any car, 25 frames, 5 s apart.
+fn count_query() -> FrameLimitQuery {
+    FrameLimitQuery {
+        kind: FrameQueryKind::Count,
+        n: 1,
+        limit: 25,
+        min_separation_s: 5.0,
+    }
+}
+
+/// Frame-limit predicates for a `w × h` scene: any car, one car in the
+/// central quarter, two cars within 8 % of the short side.
+fn bench_queries(w: f32, h: f32) -> Vec<(&'static str, FrameLimitQuery)> {
+    let (x0, y0, x1, y1) = (w * 0.25, h * 0.25, w * 0.75, h * 0.75);
+    let query = |kind, n| FrameLimitQuery {
+        kind,
+        n,
+        ..count_query()
+    };
+    vec![
+        ("count n=1", count_query()),
+        (
+            "region n=1",
+            query(
+                FrameQueryKind::Region(Polygon::new(vec![
+                    Point::new(x0, y0),
+                    Point::new(x1, y0),
+                    Point::new(x1, y1),
+                    Point::new(x0, y1),
+                ])),
+                1,
+            ),
+        ),
+        (
+            "hotspot n=2",
+            query(
+                FrameQueryKind::HotSpot {
+                    radius: (w.min(h) * 0.08).max(8.0),
+                },
+                2,
+            ),
+        ),
+    ]
+}
+
+/// Per-frame scan vs sweep for one query on one clip, gated on equal
+/// matches before timing.
+fn bench_query(
+    label: &str,
+    q: &FrameLimitQuery,
+    clip: &Clip,
+    tracks: &[Track],
+    reps: usize,
+) -> QueryBench {
+    let frames = clip.num_frames();
+    let matches = q.clip_matches(tracks, frames);
+    assert_eq!(
+        matches,
+        scan_clip_matches(q, tracks, frames),
+        "{label} on {}: sweep diverged from the per-frame scan",
+        clip.scene.name
+    );
+    let (scan, sweep) = time_interleaved(
+        reps,
+        || {
+            black_box(scan_clip_matches(q, tracks, frames));
+        },
+        || {
+            black_box(q.clip_matches(tracks, frames));
+        },
+    );
+    QueryBench {
+        query: label.to_string(),
+        dataset: clip.scene.name.clone(),
+        frames,
+        tracks: tracks.len(),
+        matches: matches.len(),
+        reps,
+        scan_us_per_clip: scan * 1e6,
+        sweep_us_per_clip: sweep * 1e6,
+        speedup_sweep_over_scan: scan / sweep,
+    }
+}
+
+/// `select_frames` vs the greedy reference over `per_clip`, gated on
+/// equal output before timing.
+fn bench_select(q: &FrameLimitQuery, per_clip: &[ClipMatches], reps: usize) -> SelectBench {
+    assert_eq!(
+        q.select_frames(per_clip),
+        greedy_select_frames(q, per_clip),
+        "select_frames diverged from the stable-sort greedy selection"
+    );
+    let (greedy, select) = time_interleaved(
+        reps,
+        || {
+            black_box(greedy_select_frames(q, per_clip));
+        },
+        || {
+            black_box(q.select_frames(per_clip));
+        },
+    );
+    SelectBench {
+        clips: per_clip.len(),
+        matches: per_clip.iter().map(|c| c.2.len()).sum(),
+        limit: q.limit,
+        reps,
+        greedy_us: greedy * 1e6,
+        select_us: select * 1e6,
+        speedup_select_over_greedy: greedy / select,
+    }
+}
+
 fn main() {
     let smoke = matches!(std::env::args().nth(1).as_deref(), Some("tiny"));
     let warsaw = Clip::simulate(Arc::new(DatasetKind::Warsaw.scene()), 0, 2.0, 7);
@@ -752,6 +982,25 @@ fn main() {
         .map(|(tracks, dets)| bench_tracker(&tracker_model, tracks, dets, tracker_reps))
         .collect();
 
+    // Frame-limit queries over the serve-mixed datasets' tracks, then
+    // the serving mix's count query selected across many clips.
+    let (query_seconds, query_reps) = if smoke { (12.0, 3) } else { (60.0, 50) };
+    let mut queries: Vec<QueryBench> = Vec::new();
+    let mut per_clip: Vec<ClipMatches> = Vec::new();
+    for kind in [DatasetKind::Caldot1, DatasetKind::Amsterdam] {
+        let clip = Clip::simulate(Arc::new(kind.scene()), 0, query_seconds, 5);
+        let tracks = sampled_tracks(&clip);
+        let (w, h) = (clip.scene.width as f32, clip.scene.height as f32);
+        for (label, q) in bench_queries(w, h) {
+            queries.push(bench_query(label, &q, &clip, &tracks, query_reps));
+        }
+        let ms = count_query().clip_matches(&tracks, clip.num_frames());
+        for _ in 0..4 {
+            per_clip.push((per_clip.len(), clip.scene.fps as f32, ms.clone()));
+        }
+    }
+    let select = bench_select(&count_query(), &per_clip, query_reps * 10);
+
     print_table(
         "Proxy forward pass — naive vs GEMM kernel path (wall clock)",
         &["input", "reps", "naive s", "gemm s", "auto s", "speedup"],
@@ -894,6 +1143,53 @@ fn main() {
         &rows,
     );
 
+    let rows: Vec<Vec<String>> = queries
+        .iter()
+        .map(|b| {
+            vec![
+                b.dataset.clone(),
+                b.query.clone(),
+                format!("{}/{}", b.frames, b.tracks),
+                b.matches.to_string(),
+                format!("{:.1}", b.scan_us_per_clip),
+                format!("{:.1}", b.sweep_us_per_clip),
+                format!("{:.2}x", b.speedup_sweep_over_scan),
+            ]
+        })
+        .collect();
+    print_table(
+        "Frame-limit queries — per-frame scan vs track-span sweep, one clip (wall clock, equal answers)",
+        &[
+            "dataset",
+            "query",
+            "frames/tracks",
+            "matches",
+            "scan us",
+            "sweep us",
+            "speedup",
+        ],
+        &rows,
+    );
+    print_table(
+        "select_frames — stable-sort greedy vs run-ranked selection (wall clock, equal answers)",
+        &[
+            "clips",
+            "matches",
+            "limit",
+            "greedy us",
+            "select us",
+            "speedup",
+        ],
+        &[vec![
+            select.clips.to_string(),
+            select.matches.to_string(),
+            select.limit.to_string(),
+            format!("{:.1}", select.greedy_us),
+            format!("{:.1}", select.select_us),
+            format!("{:.2}x", select.speedup_select_over_greedy),
+        ]],
+    );
+
     let proxy_speedup = proxy.speedup_gemm_over_naive;
     let batched_speedups: Vec<(usize, f64)> = batched_vs_looped
         .iter()
@@ -914,6 +1210,8 @@ fn main() {
             batched_vs_looped,
             render,
             tracker,
+            queries,
+            select,
         },
     );
 

@@ -55,13 +55,19 @@ impl AggregateQuery {
                 tracks.iter().filter(|t| is_car(t.class)).count() as f32 / minutes
             }
             AggregateQuery::PeakOccupancy => {
-                let mut peak = 0usize;
-                for f in 0..num_frames {
-                    let n = tracks
-                        .iter()
-                        .filter(|t| is_car(t.class) && t.alive_at(f))
-                        .count();
-                    peak = peak.max(n);
+                // difference array over the frames: +1 at each car
+                // track's first frame, −1 after its last
+                let mut delta = vec![0isize; num_frames + 1];
+                for t in tracks.iter().filter(|t| is_car(t.class) && !t.is_empty()) {
+                    if t.first_frame() < num_frames {
+                        delta[t.first_frame()] += 1;
+                        delta[(t.last_frame() + 1).min(num_frames)] -= 1;
+                    }
+                }
+                let (mut alive, mut peak) = (0isize, 0isize);
+                for d in &delta[..num_frames] {
+                    alive += d;
+                    peak = peak.max(alive);
                 }
                 peak as f32
             }
@@ -154,6 +160,46 @@ mod tests {
         let tracks = vec![track(0, 0, 5), track(1, 3, 9), track(2, 4, 6)];
         let v = AggregateQuery::PeakOccupancy.run(&tracks, 10, 10.0);
         assert_eq!(v, 3.0); // frames 4-5 have all three alive
+    }
+
+    /// The per-frame `alive_at` count the difference array replaced.
+    fn oracle_peak(tracks: &[Track], num_frames: usize) -> f32 {
+        let mut peak = 0usize;
+        for f in 0..num_frames {
+            let n = tracks
+                .iter()
+                .filter(|t| is_car(t.class) && t.alive_at(f))
+                .count();
+            peak = peak.max(n);
+        }
+        peak as f32
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn peak_occupancy_matches_per_frame_count(
+            specs in proptest::collection::vec((0usize..5, 0usize..40, 0usize..25, 0usize..3), 0..16),
+            num_frames in 0usize..50,
+        ) {
+            // any class (pedestrians are not cars), empty and
+            // single-detection tracks, spans past the last frame
+            let tracks: Vec<Track> = specs
+                .iter()
+                .enumerate()
+                .map(|(id, &(class, first, len, dets))| {
+                    let mut t = Track::new(id as u32, ObjectClass::ALL[class % 4]);
+                    if dets > 0 {
+                        t.push(first, det(first as f32));
+                    }
+                    if dets > 1 && len > 0 {
+                        t.push(first + len, det((first + len) as f32));
+                    }
+                    t
+                })
+                .collect();
+            let got = AggregateQuery::PeakOccupancy.run(&tracks, num_frames, 10.0);
+            proptest::prop_assert_eq!(got.to_bits(), oracle_peak(&tracks, num_frames).to_bits());
+        }
     }
 
     #[test]

@@ -609,7 +609,8 @@ impl QueryServer {
     }
 
     /// Per-clip frame matching, with the index-driven hot-spot
-    /// prefilter in front of the O(frames × tracks) scan.
+    /// prefilter in front of the clip's track-span sweep
+    /// ([`FrameLimitQuery::clip_matches`]).
     fn clip_frame_matches(
         &self,
         f: &FrameLimitQuery,

@@ -174,25 +174,25 @@ impl LoadedClip {
         }
         let slack = self.meta.cell_size;
         let mut seen: Vec<bool> = vec![false; self.tracks.len()];
-        for (ti, t) in self.tracks.iter().enumerate() {
+        // the ids marked for the current detection, to reset only those
+        let mut marked: Vec<usize> = Vec::new();
+        for t in &self.tracks {
             for (_, d) in &t.dets {
                 let center = d.rect.center();
                 let near = self.index.query_circle(&center, radius + slack);
-                for s in seen.iter_mut() {
-                    *s = false;
+                for id in marked.drain(..) {
+                    seen[id] = false;
                 }
-                let mut distinct = 0usize;
                 for (_, id) in near {
                     let id = id as usize;
                     if !seen[id] {
                         seen[id] = true;
-                        distinct += 1;
-                        if distinct >= n {
+                        marked.push(id);
+                        if marked.len() >= n {
                             return true;
                         }
                     }
                 }
-                let _ = ti;
             }
         }
         false

@@ -62,15 +62,25 @@ impl Track {
         if !self.alive_at(frame) {
             return None;
         }
-        // find surrounding detections
-        let pos = self.dets.partition_point(|(f, _)| *f <= frame);
-        if pos > 0 && self.dets[pos - 1].0 == frame {
-            return Some(self.dets[pos - 1].1.rect.center());
+        // the last detection at or before `frame`
+        let i = self.dets.partition_point(|(f, _)| *f <= frame) - 1;
+        Some(self.center_from(i, frame))
+    }
+
+    /// Center position at `frame`, given `i`, the index of the last
+    /// detection at or before it: that detection's center when it lies
+    /// on `frame`, else the interpolation towards detection `i + 1`.
+    /// [`center_at`](Self::center_at) finds `i` by binary search; a sweep
+    /// over frames in order can keep `i` as a forward-only cursor, and
+    /// both then round identically.
+    pub fn center_from(&self, i: usize, frame: usize) -> Point {
+        let (f0, d0) = &self.dets[i];
+        if *f0 == frame {
+            return d0.rect.center();
         }
-        let (f0, d0) = &self.dets[pos - 1];
-        let (f1, d1) = &self.dets[pos];
+        let (f1, d1) = &self.dets[i + 1];
         let t = (frame - f0) as f32 / (f1 - f0) as f32;
-        Some(d0.rect.center().lerp(&d1.rect.center(), t))
+        d0.rect.center().lerp(&d1.rect.center(), t)
     }
 
     /// Track centers as a polyline (for path classification and
