@@ -10,9 +10,9 @@
 //! `k+1`-th acknowledgement leaves behind — and resumed. Two more
 //! crash families ride along: **torn tails** (half of record `k+1`
 //! lands as crash debris after the first `k`) and **mid-rename
-//! crashes** (the serve tier's `FaultyIo` adapted onto the engine's
-//! `RunIo`, killing the process at a payload rename so a stranded
-//! `.tmp` and a journal prefix are what recovery sees).
+//! crashes** (the shared `FaultyIo` killing the process at a payload
+//! rename, so a stranded tmp file and a journal prefix are what
+//! recovery sees).
 //!
 //! Hard assertions, at every crash point:
 //!
@@ -34,17 +34,17 @@
 use otif_bench::harness::SEED;
 use otif_bench::report::{print_table, write_report};
 use otif_core::config::{OtifConfig, TrackerKind};
+use otif_core::durable::{FaultyIo, Io, IoFaultPlan, IoOp, RealIo};
 use otif_core::pipeline::ExecutionContext;
 use otif_cv::{Component, CostLedger, CostModel, DetectorArch, DetectorConfig};
 use otif_engine::{
-    run_manifest, DetectorExec, Engine, EngineOptions, RealRunIo, RoundRecord, RunIo, RunJournal,
-    RunManifest, RunSession, RUN_CLIPS_DIR, RUN_JOURNAL_FILE, RUN_MANIFEST_FILE,
+    run_manifest, DetectorExec, Engine, EngineOptions, RoundRecord, RunJournal, RunManifest,
+    RunSession, RUN_CLIPS_DIR, RUN_JOURNAL_FILE, RUN_MANIFEST_FILE,
 };
-use otif_serve::{ClipInfo, FaultyIo, RealIo, StoreFaultPlan, StoreIo, StoreOp, TrackStore};
+use otif_serve::{ClipInfo, TrackStore};
 use otif_sim::{Clip, DatasetConfig, DatasetKind, DatasetScale};
 use otif_track::Track;
 use serde::Serialize;
-use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -55,39 +55,6 @@ const COMPONENTS: [Component; 5] = [
     Component::Tracker,
     Component::Refinement,
 ];
-
-/// The serve tier's deterministic fault injector, adapted onto the
-/// engine's [`RunIo`] seam (the engine cannot depend on `otif-serve`,
-/// so the adapter lives here): same `(operation, ordinal)` plans, same
-/// process-death semantics after a crash fires.
-struct ChaosRunIo {
-    inner: FaultyIo<RealIo>,
-}
-
-fn to_io(e: otif_serve::StoreError) -> io::Error {
-    io::Error::other(e.to_string())
-}
-
-impl RunIo for ChaosRunIo {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.inner.read(path).map_err(to_io)
-    }
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.inner.write(path, bytes).map_err(to_io)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.rename(from, to).map_err(to_io)
-    }
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.inner.append(path, bytes).map_err(to_io)
-    }
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(path).map_err(to_io)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-}
 
 /// Everything a resumed run must reproduce byte for byte.
 struct Reference {
@@ -179,7 +146,7 @@ fn resume_and_check(
     reference: &Reference,
     store: &mut TrackStore,
 ) -> ChaosPoint {
-    let io: Arc<dyn RunIo> = Arc::new(RealRunIo);
+    let io: Arc<dyn Io> = Arc::new(RealIo);
     let acked = {
         let bytes = std::fs::read(dir.join(RUN_JOURNAL_FILE)).expect("read crashed journal");
         otif_engine::replay_run_journal(&bytes).records.len()
@@ -305,7 +272,7 @@ fn main() {
     // durably acknowledged. Its directory seeds every crash point.
     let manifest = run_manifest(&cfg, &ctx, &clips, &opts);
     let full_dir = base.join("full");
-    let io: Arc<dyn RunIo> = Arc::new(RealRunIo);
+    let io: Arc<dyn Io> = Arc::new(RealIo);
     let journal =
         Arc::new(RunJournal::create(&full_dir, Arc::clone(&io), &manifest).expect("create run"));
     let session = RunSession::fresh(Arc::clone(&journal));
@@ -390,9 +357,10 @@ fn main() {
     };
     for &r in &rename_ordinals {
         let dir = base.join(format!("rename-{r}"));
-        let faulty: Arc<dyn RunIo> = Arc::new(ChaosRunIo {
-            inner: FaultyIo::new(RealIo, StoreFaultPlan::crash_at(StoreOp::Rename, r)),
-        });
+        let faulty: Arc<dyn Io> = Arc::new(FaultyIo::new(
+            RealIo,
+            IoFaultPlan::crash_at(IoOp::Rename, r),
+        ));
         match RunJournal::create(&dir, Arc::clone(&faulty), &manifest) {
             Ok(j) => {
                 let session = RunSession::fresh(Arc::new(j));
@@ -426,7 +394,7 @@ fn main() {
                 // nothing was acknowledged — a fresh journaled run in
                 // the same directory must succeed and match.
                 assert_eq!(r, 0, "only the manifest rename may abort run creation");
-                let j = RunJournal::create(&dir, Arc::new(RealRunIo), &manifest)
+                let j = RunJournal::create(&dir, Arc::new(RealIo), &manifest)
                     .expect("re-create after aborted run");
                 let session = RunSession::fresh(Arc::new(j));
                 let ledger = CostLedger::new();

@@ -37,17 +37,18 @@
 use otif_bench::harness::SEED;
 use otif_bench::report::{print_table, write_report};
 use otif_core::config::{OtifConfig, TrackerKind};
+use otif_core::durable::{FaultyIo, Io, IoFaultKind, IoFaultPlan, IoFaultSpec, IoOp, RealIo};
 use otif_core::pipeline::ExecutionContext;
 use otif_cv::{CostLedger, CostModel, DetectorArch, DetectorConfig};
 use otif_engine::{Engine, EngineOptions};
 use otif_serve::{
-    fsck, mixed_workload, run_workload_traced, Answer, CacheMode, ClipInfo, FaultyIo,
-    OverloadPolicy, QueryServer, RealIo, ServeOptions, StoreFaultPlan, StoreIo, StoreOp,
-    StoreOptions, TrackStore, WorkloadRun,
+    fsck, mixed_workload, run_workload_traced, Answer, CacheMode, ClipInfo, OverloadPolicy,
+    QueryServer, ServeOptions, StoreOptions, TrackStore, WorkloadRun,
 };
 use otif_sim::{Clip, DatasetConfig, DatasetKind, DatasetScale};
 use otif_track::Track;
 use serde::Serialize;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,30 +73,30 @@ struct SlowIo {
     delay: Duration,
 }
 
-impl StoreIo for SlowIo {
-    fn read(&self, path: &Path) -> Result<Vec<u8>, otif_serve::StoreError> {
+impl Io for SlowIo {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::thread::sleep(self.delay);
         self.inner.read(path)
     }
-    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), otif_serve::StoreError> {
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.inner.write(path, bytes)
     }
-    fn rename(&self, from: &Path, to: &Path) -> Result<(), otif_serve::StoreError> {
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.inner.rename(from, to)
     }
-    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), otif_serve::StoreError> {
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.inner.append(path, bytes)
     }
-    fn create_dir_all(&self, path: &Path) -> Result<(), otif_serve::StoreError> {
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         self.inner.create_dir_all(path)
     }
     fn exists(&self, path: &Path) -> bool {
         self.inner.exists(path)
     }
-    fn remove_file(&self, path: &Path) -> Result<(), otif_serve::StoreError> {
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
         self.inner.remove_file(path)
     }
-    fn list(&self, dir: &Path) -> Result<Vec<String>, otif_serve::StoreError> {
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
         self.inner.list(dir)
     }
 }
@@ -182,8 +183,10 @@ fn clip_info(clip: &Clip) -> ClipInfo {
 }
 
 /// Workload fingerprint of a store: the deterministic mixed workload at
-/// 2 clients, single-threaded evaluation, no degradation tolerated.
-fn exact_fingerprint(store: Arc<TrackStore>, repeats: usize) -> u64 {
+/// `clients` clients, single-threaded evaluation, no degradation
+/// tolerated. Answers fold in query order, so the fingerprint does not
+/// depend on the client count.
+fn exact_fingerprint(store: Arc<TrackStore>, repeats: usize, clients: usize) -> u64 {
     let workload = mixed_workload(store.metas(), repeats, SEED);
     let server = QueryServer::new(store, 256);
     let opts = ServeOptions {
@@ -191,7 +194,7 @@ fn exact_fingerprint(store: Arc<TrackStore>, repeats: usize) -> u64 {
         pruning: true,
         cache: CacheMode::On,
     };
-    let (run, _) = run_workload_traced(&server, &workload, 2, &opts).expect("exact workload");
+    let (run, _) = run_workload_traced(&server, &workload, clients, &opts).expect("exact workload");
     assert_eq!(run.degraded, 0, "reference runs must not degrade");
     run.answers_fingerprint
 }
@@ -212,19 +215,14 @@ fn prefix_fingerprints(
         for (clip, ts) in clips.iter().take(k).zip(tracks) {
             store.ingest_clip(&clip_info(clip), ts).expect("ingest");
         }
-        out.push(exact_fingerprint(Arc::new(store), repeats));
+        out.push(exact_fingerprint(Arc::new(store), repeats, 2));
     }
     out
 }
 
 /// Ingest everything through a faulty I/O layer; the first error is
 /// the simulated crash. Returns the number of acknowledged ingests.
-fn ingest_until_crash(
-    dir: &Path,
-    io: Arc<dyn StoreIo>,
-    clips: &[Clip],
-    tracks: &[Vec<Track>],
-) -> usize {
+fn ingest_until_crash(dir: &Path, io: Arc<dyn Io>, clips: &[Clip], tracks: &[Vec<Track>]) -> usize {
     let Ok(mut store) = TrackStore::create_with(dir, io, StoreOptions::default()) else {
         return 0;
     };
@@ -241,7 +239,7 @@ fn ingest_until_crash(
 /// One `(operation, ordinal)` coordinate of the crash sweep.
 #[derive(Clone, Copy)]
 struct CrashSpec {
-    op: StoreOp,
+    op: IoOp,
     ordinal: u64,
     /// Torn (partial) write instead of a clean crash — only meaningful
     /// for journal appends.
@@ -266,9 +264,9 @@ fn run_crash_point(
         if torn { "torn" } else { "crash" }
     ));
     let plan = if torn {
-        StoreFaultPlan::torn_at(op, ordinal)
+        IoFaultPlan::torn_at(op, ordinal)
     } else {
-        StoreFaultPlan::crash_at(op, ordinal)
+        IoFaultPlan::crash_at(op, ordinal)
     };
     let acked = ingest_until_crash(&dir, Arc::new(FaultyIo::new(RealIo, plan)), clips, tracks);
 
@@ -288,7 +286,7 @@ fn run_crash_point(
     let (recovered, answers_match) = if dir.join(JOURNAL_FILE).exists() {
         let store = TrackStore::open(&dir).expect("reopen repaired store");
         let n = store.len();
-        let fp = exact_fingerprint(Arc::new(store), repeats);
+        let fp = exact_fingerprint(Arc::new(store), repeats, 2);
         (n, fp == prefix_fp[n])
     } else {
         (0, true)
@@ -317,20 +315,22 @@ fn run_crash_point(
 /// Transient read faults heal through the bounded deterministic
 /// retry/backoff schedule without changing answer bytes.
 fn transient_reads(dir: &Path, want_fp: u64, repeats: usize) -> (u64, f64) {
-    let io: Arc<dyn StoreIo> = Arc::new(FaultyIo::new(
+    let io: Arc<dyn Io> = Arc::new(FaultyIo::new(
         RealIo,
         // read 0 is the journal on open; fail the next two clip reads
         // twice each — both within the default read_retries budget
-        StoreFaultPlan::transient_reads(1, 2).with(otif_serve::StoreFaultSpec {
-            op: StoreOp::Read,
+        IoFaultPlan::transient_reads(1, 2).with(IoFaultSpec {
+            op: IoOp::Read,
             ordinal: 4,
-            kind: otif_serve::StoreFaultKind::Transient { failures: 2 },
+            kind: IoFaultKind::Transient { failures: 2 },
         }),
     ));
     let store =
         TrackStore::open_with(dir, io, StoreOptions::default()).expect("open through faulty reads");
     let store = Arc::new(store);
-    let fp = exact_fingerprint(Arc::clone(&store), repeats);
+    // one client: concurrent loads would interleave read ordinals, so
+    // one load could draw more failures in a row than its retry budget
+    let fp = exact_fingerprint(Arc::clone(&store), repeats, 1);
     assert_eq!(fp, want_fp, "transient read faults must not change answers");
     let retries = store.read_retry_count();
     let backoff = store.retry_backoff_seconds();
@@ -477,10 +477,10 @@ fn main() {
 
     // fault-free counting run: how many of each I/O op does a full
     // ingest perform? Every observed (op, ordinal) is a crash point.
-    let counter = Arc::new(FaultyIo::new(RealIo, StoreFaultPlan::none()));
+    let counter = Arc::new(FaultyIo::new(RealIo, IoFaultPlan::none()));
     let counted = ingest_until_crash(
         &base.join("count"),
-        Arc::clone(&counter) as Arc<dyn StoreIo>,
+        Arc::clone(&counter) as Arc<dyn Io>,
         &clips,
         &tracks,
     );
@@ -494,8 +494,8 @@ fn main() {
     let prefix_fp = prefix_fingerprints(&base, &clips, &tracks, repeats);
 
     let mut sweep = Vec::new();
-    for op in StoreOp::ALL {
-        if op == StoreOp::Read {
+    for op in IoOp::ALL {
+        if op == IoOp::Read {
             continue; // ingest never reads; read faults are swept below
         }
         let count = op_counts.get(&op).copied().unwrap_or(0);
@@ -508,7 +508,7 @@ fn main() {
             sweep.push(run_crash_point(
                 &base, &clips, &tracks, &prefix_fp, repeats, spec,
             ));
-            if op == StoreOp::Append {
+            if op == IoOp::Append {
                 // a torn journal append: half the record lands as tail
                 // debris that replay + fsck must truncate
                 sweep.push(run_crash_point(
@@ -546,9 +546,9 @@ fn main() {
         sweep,
     };
 
-    let rows: Vec<Vec<String>> = StoreOp::ALL
+    let rows: Vec<Vec<String>> = IoOp::ALL
         .iter()
-        .filter(|op| **op != StoreOp::Read)
+        .filter(|op| **op != IoOp::Read)
         .map(|op| {
             let pts: Vec<&CrashPoint> = report.sweep.iter().filter(|p| p.op == op.name()).collect();
             vec![

@@ -7,7 +7,9 @@
 //! methods' query phases are per-query; OTIF's and TASTI's pre-processing
 //! are query-agnostic.
 //!
-//! Usage: `cargo run --release -p otif-bench --bin table3 [tiny|small|experiment]`
+//! Usage: `cargo run --release -p otif-bench --bin table3 [tiny|small|experiment]`.
+//! `tiny` trains a single proxy, so the bin refuses it: TASTI's
+//! extractor would be BlazeIt's own proxy.
 
 use otif_baselines::{BlazeItBaseline, TastiBaseline};
 use otif_bench::harness::{make_dataset, otif_options, prepare_otif, scale_from_args, SEED};
@@ -90,6 +92,25 @@ fn main() {
 
         // ---- OTIF: pre-process all tracks once, post-process per query.
         let otif = prepare_otif(&dataset, otif_options(scale));
+        // BlazeIt's low-resolution proxy and TASTI's mid-resolution
+        // extractor
+        let low_proxy = otif.proxies.last().expect("trained proxies");
+        let extractor = otif
+            .proxies
+            .iter()
+            .find(|p| p.in_w * 2 >= otif.proxies[0].in_w)
+            .unwrap_or(&otif.proxies[0]);
+        if std::ptr::eq(extractor, low_proxy) {
+            // TASTI's index would be BlazeIt's own proxy pass, and its
+            // row a copy of BlazeIt's
+            eprintln!(
+                "error: on {}, TASTI's extractor is BlazeIt's proxy ({} proxy model(s) \
+                 trained); table3 needs two distinct proxies, so run it at `small` or larger",
+                kind.name(),
+                otif.proxies.len()
+            );
+            std::process::exit(1);
+        }
         let point = otif.pick_config(0.05);
         let (tracks, ledger) = otif.execute(&point.config, &dataset.test);
         let t0 = Instant::now();
@@ -106,7 +127,6 @@ fn main() {
         });
 
         // ---- BlazeIt: per-query proxy pass + detector at query time.
-        let low_proxy = otif.proxies.last().expect("trained proxies");
         let blazeit = BlazeItBaseline::new(otif.theta_best.detector, SEED, cost, low_proxy);
         let run = blazeit.execute(&query, &dataset.test);
         results.push(QueryResult {
@@ -121,11 +141,6 @@ fn main() {
 
         // ---- TASTI: query-agnostic index (mid-res extractor) + detector
         // at query time.
-        let extractor = otif
-            .proxies
-            .iter()
-            .find(|p| p.in_w * 2 >= otif.proxies[0].in_w)
-            .unwrap_or(&otif.proxies[0]);
         let tasti = TastiBaseline::new(otif.theta_best.detector, SEED, cost, extractor);
         let index = tasti.build_index(&dataset.test);
         let (outs, qsecs, inv) = tasti.execute(&query, &index, &dataset.test);

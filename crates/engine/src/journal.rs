@@ -10,12 +10,14 @@
 //! ```
 //!
 //! Every clip that completes is *checkpointed*: its track payload is
-//! written via tmp + fsync + atomic rename into `clips/`, and only then
-//! is one checksummed [`ClipRecord`] line appended to `journal.log` —
-//! the append is the acknowledgement point, exactly the discipline of
-//! `otif-serve::journal` (and the same `<16-hex FNV-1a> <JSON>\n` line
-//! format). Because the payload is in place before its record is
-//! durable, every valid journal record refers to a recoverable payload.
+//! placed in `clips/` with [`durable::write_atomic`] (tmp + fsync +
+//! atomic rename), and only then is one checksummed [`ClipRecord`] line
+//! appended to `journal.log` — the append is the acknowledgement point.
+//! The seam, the atomic replace and the line codec are the ones the
+//! serving tier's track store uses ([`otif_core::durable`]), so the
+//! same `(operation, ordinal)` fault plans drive both. Because the
+//! payload is in place before its record is durable, every valid
+//! journal record refers to a recoverable payload.
 //!
 //! Unlike the store's ingest journal, run-journal records are keyed by
 //! **clip index**, not by a dense id sequence: the track stages of
@@ -39,13 +41,15 @@
 //! an uninterrupted run produces.
 
 use crate::timeline::ClipTimeline;
+use otif_core::durable::{self, Io};
 use otif_core::fnv1a;
 use otif_cv::{Component, CostLedger};
 use otif_track::Track;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,63 +60,6 @@ pub const RUN_JOURNAL_FILE: &str = "journal.log";
 pub const RUN_MANIFEST_FILE: &str = "manifest.json";
 /// Subdirectory holding checkpointed track payloads.
 pub const RUN_CLIPS_DIR: &str = "clips";
-
-/// The run directory's filesystem seam. A minimal mirror of
-/// `otif-serve`'s `StoreIo` (the engine cannot depend on the serving
-/// tier); the chaos bench adapts the serve tier's `FaultyIo` onto this
-/// trait to reuse its deterministic `(operation, ordinal)` fault plans.
-pub trait RunIo: Send + Sync {
-    /// Read a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Create/truncate `path`, write `bytes`, fsync.
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Atomically rename `from` to `to`.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Append `bytes` to `path` (creating it if needed), fsync.
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Create a directory and all parents.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Whether `path` exists.
-    fn exists(&self, path: &Path) -> bool;
-}
-
-/// The production [`RunIo`]: real filesystem, durable writes (fsync
-/// after write/append) and atomic renames.
-#[derive(Debug, Default)]
-pub struct RealRunIo;
-
-impl RunIo for RealRunIo {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
-    }
-
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-}
 
 /// Run identity, persisted as `manifest.json`. A resume must present a
 /// bitwise-equal manifest: everything listed here shapes either the
@@ -227,25 +174,6 @@ impl ClipRecord {
     }
 }
 
-/// Encode one journal record (checksum + body + newline) — the same
-/// line discipline as the store's ingest journal.
-pub fn encode_record(record: &ClipRecord) -> io::Result<Vec<u8>> {
-    let body = serde_json::to_string(record)
-        .map_err(|e| io::Error::other(format!("run-journal encode: {e}")))?;
-    Ok(format!("{:016x} {}\n", fnv1a(body.as_bytes()), body).into_bytes())
-}
-
-/// Decode one record line (without its newline) into a [`ClipRecord`].
-fn decode_line(line: &str) -> Option<ClipRecord> {
-    let (sum, body) = line.split_at_checked(16)?;
-    let body = body.strip_prefix(' ')?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    if sum != fnv1a(body.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(body).ok()
-}
-
 /// Outcome of replaying run-journal bytes.
 #[derive(Debug, Default)]
 pub struct RunReplay {
@@ -279,24 +207,18 @@ impl RunReplay {
 /// skipped.
 pub fn replay(bytes: &[u8]) -> RunReplay {
     let mut out = RunReplay::default();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            out.torn_tail = true; // unterminated final line: torn append
-            break;
-        };
-        let line = &rest[..nl];
-        let last = pos + nl + 1 >= bytes.len();
-        pos += nl + 1;
-        match std::str::from_utf8(line).ok().and_then(decode_line) {
+    for line in durable::lines(bytes) {
+        match line
+            .body
+            .and_then(|b| serde_json::from_str::<ClipRecord>(b).ok())
+        {
             Some(record) => match out.records.entry(record.clip) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(record);
                 }
-                std::collections::btree_map::Entry::Occupied(_) => out.duplicates += 1,
+                Entry::Occupied(_) => out.duplicates += 1,
             },
-            None if last => out.torn_tail = true,
+            None if line.last => out.torn_tail = true,
             None => out.invalid_records += 1,
         }
     }
@@ -313,7 +235,7 @@ fn clip_file_name(id: usize) -> String {
 /// so records stay line-atomic.
 pub struct RunJournal {
     dir: PathBuf,
-    io: Arc<dyn RunIo>,
+    io: Arc<dyn Io>,
     commit: Mutex<()>,
 }
 
@@ -321,11 +243,7 @@ impl RunJournal {
     /// Create a fresh run directory at `dir` (manifest written
     /// atomically, journal created durably). An existing journal there
     /// is an error — resume it instead.
-    pub fn create(
-        dir: &Path,
-        io: Arc<dyn RunIo>,
-        manifest: &RunManifest,
-    ) -> io::Result<RunJournal> {
+    pub fn create(dir: &Path, io: Arc<dyn Io>, manifest: &RunManifest) -> io::Result<RunJournal> {
         let journal_path = dir.join(RUN_JOURNAL_FILE);
         if io.exists(&journal_path) {
             return Err(io::Error::other(format!(
@@ -336,9 +254,7 @@ impl RunJournal {
         io.create_dir_all(&dir.join(RUN_CLIPS_DIR))?;
         let json = serde_json::to_string_pretty(manifest)
             .map_err(|e| io::Error::other(format!("manifest encode: {e}")))?;
-        let tmp = dir.join(format!("{RUN_MANIFEST_FILE}.tmp"));
-        io.write(&tmp, json.as_bytes())?;
-        io.rename(&tmp, &dir.join(RUN_MANIFEST_FILE))?;
+        durable::write_atomic(&*io, &dir.join(RUN_MANIFEST_FILE), json.as_bytes())?;
         io.append(&journal_path, b"")?;
         Ok(RunJournal {
             dir: dir.to_path_buf(),
@@ -353,7 +269,7 @@ impl RunJournal {
     /// splice incompatible checkpoints into the run.
     pub fn open(
         dir: &Path,
-        io: Arc<dyn RunIo>,
+        io: Arc<dyn Io>,
         expected: &RunManifest,
     ) -> io::Result<(RunJournal, RunReplay)> {
         let manifest_path = dir.join(RUN_MANIFEST_FILE);
@@ -382,17 +298,19 @@ impl RunJournal {
         ))
     }
 
-    /// Durably checkpoint one completed clip: payload tmp + fsync +
-    /// rename into `clips/`, then the checksummed journal append — the
+    /// Durably checkpoint one completed clip: the payload's atomic
+    /// replace into `clips/`, then the checksummed journal append — the
     /// acknowledgement point.
     pub fn checkpoint(&self, record: &ClipRecord, tracks_json: &str) -> io::Result<()> {
-        let line = encode_record(record)?;
+        let body = serde_json::to_string(record)
+            .map_err(|e| io::Error::other(format!("run-journal encode: {e}")))?;
+        let line = durable::encode_line(&body);
         let _serialize = self.commit.lock();
-        let clips_dir = self.dir.join(RUN_CLIPS_DIR);
-        let path = clips_dir.join(clip_file_name(record.clip));
-        let tmp = clips_dir.join(format!("{}.tmp", clip_file_name(record.clip)));
-        self.io.write(&tmp, tracks_json.as_bytes())?;
-        self.io.rename(&tmp, &path)?;
+        let path = self
+            .dir
+            .join(RUN_CLIPS_DIR)
+            .join(clip_file_name(record.clip));
+        durable::write_atomic(&*self.io, &path, tracks_json.as_bytes())?;
         self.io.append(&self.dir.join(RUN_JOURNAL_FILE), &line)
     }
 
@@ -436,9 +354,9 @@ impl RunJournal {
     }
 }
 
-fn read_or(io: &dyn RunIo, path: &Path, what: &str) -> io::Result<Vec<u8>> {
+fn read_or(io: &dyn Io, path: &Path, what: &str) -> io::Result<Vec<u8>> {
     io.read(path)
-        .map_err(|e| io::Error::other(format!("{what} {}: {e}", path.display())))
+        .map_err(|e| io::Error::new(e.kind(), format!("{what} {e}")))
 }
 
 /// The engine-side checkpoint sink: wraps a [`RunJournal`] with
@@ -552,10 +470,14 @@ mod tests {
         }
     }
 
+    fn journal_line(record: &ClipRecord) -> Vec<u8> {
+        durable::encode_line(&serde_json::to_string(record).unwrap())
+    }
+
     fn journal_bytes(clips: &[usize]) -> Vec<u8> {
         clips
             .iter()
-            .flat_map(|&c| encode_record(&record(c)).unwrap())
+            .flat_map(|&c| journal_line(&record(c)))
             .collect()
     }
 
@@ -584,7 +506,7 @@ mod tests {
     #[test]
     fn torn_tail_is_detected_and_ignored() {
         let mut bytes = journal_bytes(&[0, 1]);
-        let extra = encode_record(&record(2)).unwrap();
+        let extra = journal_line(&record(2));
         bytes.extend_from_slice(&extra[..extra.len() / 2]);
         let r = replay(&bytes);
         assert!(r.torn_tail);
@@ -596,9 +518,9 @@ mod tests {
     fn corrupt_mid_journal_record_invalidates_only_itself() {
         let mut bytes = journal_bytes(&[0]);
         let rec0 = bytes.len();
-        bytes.extend(encode_record(&record(1)).unwrap());
+        bytes.extend(journal_line(&record(1)));
         bytes[rec0 + 20] ^= 0xff; // damage record 1's line
-        bytes.extend(encode_record(&record(2)).unwrap());
+        bytes.extend(journal_line(&record(2)));
         let r = replay(&bytes);
         assert!(!r.clean());
         assert_eq!(r.invalid_records, 1);
@@ -615,7 +537,7 @@ mod tests {
     fn create_checkpoint_open_recover_round_trip() {
         let dir = std::env::temp_dir().join(format!("otif-runjournal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let io: Arc<dyn RunIo> = Arc::new(RealRunIo);
+        let io: Arc<dyn Io> = Arc::new(durable::RealIo);
         let manifest = RunManifest {
             version: 1,
             config_fingerprint: 11,
@@ -687,7 +609,7 @@ mod tests {
             let mut bytes = journal_bytes(&order);
             if torn {
                 // torn tail: append a half-written record
-                let extra = encode_record(&record(7)).unwrap();
+                let extra = journal_line(&record(7));
                 bytes.extend_from_slice(&extra[..torn_cut.min(extra.len() - 1)]);
             }
             let r = replay(&bytes);
@@ -713,7 +635,7 @@ mod tests {
             let rebuilt: Vec<u8> = r
                 .records
                 .values()
-                .flat_map(|rec| encode_record(rec).unwrap())
+                .flat_map(journal_line)
                 .collect();
             let r2 = replay(&rebuilt);
             prop_assert!(r2.clean());

@@ -57,8 +57,8 @@ pub use exec::{DetectorExec, DetectorExecHarness};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, PanicReport, StageName};
 pub use journal::replay as replay_run_journal;
 pub use journal::{
-    ClipRecord, FrameRecord, RealRunIo, RunIo, RunJournal, RunManifest, RunReplay, RUN_CLIPS_DIR,
-    RUN_JOURNAL_FILE, RUN_MANIFEST_FILE,
+    ClipRecord, FrameRecord, RunJournal, RunManifest, RunReplay, RUN_CLIPS_DIR, RUN_JOURNAL_FILE,
+    RUN_MANIFEST_FILE,
 };
 pub use scheduler::{
     retry_backoff, run_manifest, ClipOutcome, Engine, EngineOptions, EngineRun, RunSession,

@@ -949,7 +949,8 @@ mod tests {
     /// byte-for-byte while recomputing only the unacknowledged clips.
     #[test]
     fn journaled_run_and_every_resume_are_bitwise_identical() {
-        use crate::journal::{RealRunIo, RunIo, RUN_JOURNAL_FILE};
+        use crate::journal::RUN_JOURNAL_FILE;
+        use otif_core::durable::{Io, RealIo};
 
         let cfg = config();
         let ctx = ExecutionContext::bare(CostModel::default(), 7);
@@ -969,7 +970,7 @@ mod tests {
 
         // Fresh journaled run: identical outputs, every clip durably
         // acknowledged.
-        let io: Arc<dyn RunIo> = Arc::new(RealRunIo);
+        let io: Arc<dyn Io> = Arc::new(RealIo);
         let dir = temp_run_dir("resume");
         let manifest = run_manifest(&cfg, &ctx, &clips, &opts);
         let journal = Arc::new(RunJournal::create(&dir, Arc::clone(&io), &manifest).unwrap());
@@ -1034,7 +1035,8 @@ mod tests {
     /// live and the final outputs still match the baseline.
     #[test]
     fn tampered_checkpoint_payload_recomputes_and_matches() {
-        use crate::journal::{RealRunIo, RunIo, RUN_CLIPS_DIR};
+        use crate::journal::RUN_CLIPS_DIR;
+        use otif_core::durable::{Io, RealIo};
 
         let cfg = config();
         let ctx = ExecutionContext::bare(CostModel::default(), 7);
@@ -1046,7 +1048,7 @@ mod tests {
         let base_proj = base.stats.deterministic_projection();
         let base_tracks = serde_json::to_string(&base.expect_tracks()).unwrap();
 
-        let io: Arc<dyn RunIo> = Arc::new(RealRunIo);
+        let io: Arc<dyn Io> = Arc::new(RealIo);
         let dir = temp_run_dir("selfheal");
         let manifest = run_manifest(&cfg, &ctx, &clips, &opts);
         let journal = Arc::new(RunJournal::create(&dir, Arc::clone(&io), &manifest).unwrap());

@@ -2,17 +2,17 @@
 //! point.
 //!
 //! Every ingest appends exactly one record to `journal.log` *after* the
-//! clip payload file is durably in place (tmp write + fsync + atomic
-//! rename). A record is one line:
-//!
-//! ```text
-//! <16 hex chars: FNV-1a of body> <body: ClipMeta as JSON>\n
-//! ```
+//! clip payload file is durably in place
+//! ([`otif_core::durable::write_atomic`]). A record is one checksummed
+//! line of the shared codec ([`otif_core::durable::encode_line`]) whose
+//! body is the clip's [`ClipMeta`] as JSON.
 //!
 //! The checksum makes torn appends self-detecting: a crash mid-append
 //! leaves a trailing line whose checksum cannot match (or no newline at
 //! all), and [`replay`] classifies it as a *torn tail* — expected
 //! crash debris, truncated by `store-fsck --repair`, never data loss.
+//! The store's replay policy is a dense-id valid prefix: the first bad
+//! record ends it, and everything after it is untrusted.
 //! Because the clip file is renamed into place before its record is
 //! appended, every valid journal record refers to a clip file that
 //! exists on disk: an acknowledged ingest (journal append returned Ok)
@@ -23,19 +23,11 @@
 //! entries — convenient for tools, never authoritative: `open()`
 //! replays the journal when one exists.
 
-use crate::io::StoreError;
-use crate::store::{fnv1a, ClipMeta};
+use crate::store::ClipMeta;
+use otif_core::durable;
 
 /// File name of the ingest journal inside a store directory.
 pub const JOURNAL_FILE: &str = "journal.log";
-
-/// Encode one journal record (checksum + body + newline).
-pub fn encode_record(meta: &ClipMeta) -> Result<Vec<u8>, StoreError> {
-    let body = serde_json::to_string(meta).map_err(|e| StoreError::Invalid {
-        detail: format!("journal encode: {e}"),
-    })?;
-    Ok(format!("{:016x} {}\n", fnv1a(body.as_bytes()), body).into_bytes())
-}
 
 /// Outcome of replaying journal bytes: the valid record prefix plus a
 /// classification of whatever follows it.
@@ -62,17 +54,6 @@ impl JournalReplay {
     }
 }
 
-/// Decode one record line (without its newline) into a [`ClipMeta`].
-fn decode_line(line: &str) -> Option<ClipMeta> {
-    let (sum, body) = line.split_at_checked(16)?;
-    let body = body.strip_prefix(' ')?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    if sum != fnv1a(body.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(body).ok()
-}
-
 /// Replay raw journal bytes. Reading stops being "valid prefix" at the
 /// first bad record; a bad *final* line with no records after it is a
 /// torn tail (crash debris), anything else bad counts as an invalid
@@ -81,36 +62,21 @@ fn decode_line(line: &str) -> Option<ClipMeta> {
 /// up to the gap as valid with the rest invalid.
 pub fn replay(bytes: &[u8]) -> JournalReplay {
     let mut out = JournalReplay::default();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            // unterminated final line: torn append
-            out.torn_tail = true;
-            break;
-        };
-        let line = &rest[..nl];
-        let decoded = std::str::from_utf8(line).ok().and_then(decode_line);
-        match decoded {
+    for line in durable::lines(bytes) {
+        match line
+            .body
+            .and_then(|b| serde_json::from_str::<ClipMeta>(b).ok())
+        {
             Some(meta) if meta.id == out.entries.len() => {
                 out.entries.push(meta);
-                pos += nl + 1;
-                out.valid_bytes = pos;
+                out.valid_bytes = line.end;
             }
+            // bad but final line: a torn append (possibly one that
+            // landed a newline inside the half-written bytes)
+            _ if line.last => out.torn_tail = true,
             _ => {
-                if pos + nl + 1 >= bytes.len() {
-                    // bad but final line: a torn append that happened
-                    // to land a newline inside the half-written bytes
-                    out.torn_tail = true;
-                } else {
-                    out.invalid_records += 1;
-                    // everything after a mid-journal bad record is
-                    // untrusted
-                    out.invalid_records += bytes[pos + nl + 1..]
-                        .iter()
-                        .filter(|&&b| b == b'\n')
-                        .count();
-                }
+                // everything after a mid-journal bad record is untrusted
+                out.invalid_records = 1 + bytes[line.end..].iter().filter(|&&b| b == b'\n').count();
                 break;
             }
         }
@@ -121,6 +87,10 @@ pub fn replay(bytes: &[u8]) -> JournalReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn journal_line(meta: &ClipMeta) -> Vec<u8> {
+        durable::encode_line(&serde_json::to_string(meta).unwrap())
+    }
 
     fn meta(id: usize) -> ClipMeta {
         ClipMeta {
@@ -139,9 +109,7 @@ mod tests {
     }
 
     fn journal(n: usize) -> Vec<u8> {
-        (0..n)
-            .flat_map(|i| encode_record(&meta(i)).unwrap())
-            .collect()
+        (0..n).flat_map(|i| journal_line(&meta(i))).collect()
     }
 
     #[test]
@@ -169,7 +137,7 @@ mod tests {
     fn torn_tail_is_detected_and_truncatable() {
         let mut bytes = journal(2);
         let good = bytes.len();
-        let extra = encode_record(&meta(2)).unwrap();
+        let extra = journal_line(&meta(2));
         bytes.extend_from_slice(&extra[..extra.len() / 2]); // torn append
         let r = replay(&bytes);
         assert!(r.torn_tail);
@@ -186,7 +154,7 @@ mod tests {
     fn corrupt_mid_journal_record_invalidates_suffix() {
         let mut bytes = journal(3);
         // flip a byte inside record 1's body
-        let rec0 = encode_record(&meta(0)).unwrap().len();
+        let rec0 = journal_line(&meta(0)).len();
         bytes[rec0 + 20] ^= 0xff;
         let r = replay(&bytes);
         assert!(!r.clean());
@@ -197,8 +165,8 @@ mod tests {
 
     #[test]
     fn id_gap_stops_the_valid_prefix() {
-        let mut bytes: Vec<u8> = encode_record(&meta(0)).unwrap();
-        bytes.extend(encode_record(&meta(2)).unwrap()); // gap: 1 missing
+        let mut bytes: Vec<u8> = journal_line(&meta(0));
+        bytes.extend(journal_line(&meta(2))); // gap: 1 missing
         let r = replay(&bytes);
         assert_eq!(r.entries.len(), 1);
         assert!(r.torn_tail, "bad final line classifies as tail debris");

@@ -45,11 +45,10 @@
 //! The robustness layer (DESIGN.md §13) adds durability and overload
 //! safety on top:
 //!
-//! - [`io`] — the injectable [`StoreIo`] filesystem seam every store
-//!   read/write flows through, with typed [`StoreError`]s and a
-//!   deterministic `(operation, ordinal)`-addressed fault plan
-//!   ([`FaultyIo`]) for torn writes, failed renames, read errors, and
-//!   crash points.
+//! - [`io`] — typed [`StoreError`]s over the shared filesystem seam
+//!   ([`otif_core::durable`]) every store read/write flows through, with
+//!   its deterministic `(operation, ordinal)`-addressed fault plans for
+//!   torn writes, failed renames, read errors, and crash points.
 //! - [`journal`] — the append-only checksummed ingest journal whose
 //!   append is the acknowledgement point; `catalog.json` becomes a
 //!   rewritable checkpoint and [`store::fsck`] replays/repairs.
@@ -67,9 +66,7 @@ pub mod store;
 pub mod workload;
 
 pub use cache::{AnswerCache, CacheStats};
-pub use io::{
-    FaultyIo, RealIo, StoreError, StoreFaultKind, StoreFaultPlan, StoreFaultSpec, StoreIo, StoreOp,
-};
+pub use io::StoreError;
 pub use query::{Answer, ServeQuery};
 pub use server::{
     CacheMode, OverloadPolicy, QueryOutcome, QueryServer, ServeError, ServeOptions, ServeStats,

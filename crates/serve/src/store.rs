@@ -11,16 +11,16 @@
 //!   quarantine/           # clip files that failed verification
 //! ```
 //!
-//! Durability model (DESIGN.md §13): an ingest writes the clip payload
-//! to a tmp file, fsyncs, atomically renames it into `clips/`, and only
-//! then appends a checksummed record to the journal — the append is the
-//! acknowledgement point. Because the payload is in place before its
-//! record is durable, every valid journal record refers to an existing
-//! clip file: a crash at *any* intermediate step loses only the
-//! unacknowledged ingest (recoverable debris that [`fsck`] removes),
-//! never an acknowledged one. `catalog.json` is a best-effort
-//! checkpoint; [`TrackStore::open`] replays the journal whenever one
-//! exists. Every [`TrackStore::load`] re-verifies the payload's FNV-1a
+//! Durability model (DESIGN.md §13): an ingest places the clip payload
+//! in `clips/` with [`durable::write_atomic`] (tmp write + fsync +
+//! atomic rename), and only then appends a checksummed record to the
+//! journal — the append is the acknowledgement point. Because the
+//! payload is in place before its record is durable, every valid
+//! journal record refers to an existing clip file: a crash at *any*
+//! intermediate step loses only the unacknowledged ingest (recoverable
+//! debris that [`fsck`] removes), never an acknowledged one.
+//! `catalog.json` is a best-effort checkpoint; [`TrackStore::open`]
+//! replays the journal whenever one exists. Every [`TrackStore::load`] re-verifies the payload's FNV-1a
 //! fingerprint against its catalog entry and quarantines mismatches.
 //!
 //! The catalog is small and always resident; it carries everything clip
@@ -33,8 +33,9 @@
 //! are covered by the occupancy summary up to half a cell of error —
 //! pruning rules must (and do) budget that slack.
 
-use crate::io::{RealIo, StoreError, StoreIo};
+use crate::io::StoreError;
 use crate::journal::{self, JOURNAL_FILE};
+use otif_core::durable::{self, Io, RealIo};
 use otif_geom::{GridIndex, Point, Rect};
 use otif_track::Track;
 use serde::{Deserialize, Serialize};
@@ -224,6 +225,13 @@ fn rasterize_track(t: &Track, step: f32) -> Vec<Point> {
 
 pub(crate) use otif_core::fnv1a;
 
+/// `value` as compact JSON; `what` names it in the error.
+fn to_json<T: Serialize + ?Sized>(what: &str, value: &T) -> Result<String, StoreError> {
+    serde_json::to_string(value).map_err(|e| StoreError::Invalid {
+        detail: format!("{what} encode: {e}"),
+    })
+}
+
 /// Maximum number of overlapping `(first, last)` intervals.
 fn max_concurrent(tracks: &[Track]) -> usize {
     let mut events: Vec<(usize, i32)> = Vec::with_capacity(tracks.len() * 2);
@@ -286,10 +294,10 @@ fn parse_clip_name(name: &str) -> Option<usize> {
 
 /// The persistent track store. Cheap always-resident catalog; clip
 /// payloads (tracks + indexes) deserialized lazily per clip and cached.
-/// All filesystem traffic flows through one injectable [`StoreIo`].
+/// All filesystem traffic flows through one injectable [`Io`].
 pub struct TrackStore {
     dir: PathBuf,
-    io: Arc<dyn StoreIo>,
+    io: Arc<dyn Io>,
     opts: StoreOptions,
     catalog: Vec<ClipMeta>,
     loaded: Mutex<HashMap<usize, Arc<LoadedClip>>>,
@@ -310,7 +318,7 @@ impl TrackStore {
     /// append-only).
     pub fn create_with(
         dir: &Path,
-        io: Arc<dyn StoreIo>,
+        io: Arc<dyn Io>,
         opts: StoreOptions,
     ) -> Result<TrackStore, StoreError> {
         for existing in [dir.join(JOURNAL_FILE), dir.join(CATALOG_FILE)] {
@@ -350,7 +358,7 @@ impl TrackStore {
     /// `catalog.json` opens from the checkpoint.
     pub fn open_with(
         dir: &Path,
-        io: Arc<dyn StoreIo>,
+        io: Arc<dyn Io>,
         opts: StoreOptions,
     ) -> Result<TrackStore, StoreError> {
         let journal_path = dir.join(JOURNAL_FILE);
@@ -404,15 +412,14 @@ impl TrackStore {
         })
     }
 
-    /// Rewrite the `catalog.json` checkpoint atomically (tmp + rename).
+    /// Rewrite the `catalog.json` checkpoint atomically.
     fn write_checkpoint(&self) -> Result<(), StoreError> {
-        let path = self.dir.join(CATALOG_FILE);
-        let tmp = self.dir.join(format!("{CATALOG_FILE}.tmp"));
-        let json = serde_json::to_string(&self.catalog).map_err(|e| StoreError::Invalid {
-            detail: format!("catalog encode: {e}"),
-        })?;
-        self.io.write(&tmp, json.as_bytes())?;
-        self.io.rename(&tmp, &path)
+        let json = to_json("catalog", &self.catalog)?;
+        Ok(durable::write_atomic(
+            &*self.io,
+            &self.dir.join(CATALOG_FILE),
+            json.as_bytes(),
+        )?)
     }
 
     fn clip_path(&self, id: usize) -> PathBuf {
@@ -433,13 +440,14 @@ impl TrackStore {
     /// Ingest one clip's extracted tracks (`Engine` / `Pipeline` output
     /// order is preserved). Returns the assigned clip id.
     ///
-    /// Crash consistency: payload tmp-write → fsync → atomic rename,
-    /// *then* the journal append — which is the acknowledgement point.
-    /// `Ok` means the ingest survives any subsequent crash; `Err` means
-    /// it left at most recoverable debris (an orphan tmp or clip file
-    /// with no journal record, removed by [`fsck`]). The checkpoint
-    /// rewrite afterwards is best-effort: its failure is swallowed
-    /// because the journal already carries the entry.
+    /// Crash consistency: the payload's atomic replace (tmp write →
+    /// fsync → rename), *then* the journal append — which is the
+    /// acknowledgement point. `Ok` means the ingest survives any
+    /// subsequent crash; `Err` means it left at most recoverable debris
+    /// (an orphan tmp or clip file with no journal record, removed by
+    /// [`fsck`]). The checkpoint rewrite afterwards is best-effort: its
+    /// failure is swallowed because the journal already carries the
+    /// entry.
     pub fn ingest_clip(&mut self, info: &ClipInfo, tracks: &[Track]) -> Result<usize, StoreError> {
         self.ingest_inner(info, tracks, None)
     }
@@ -458,9 +466,7 @@ impl TrackStore {
         tracks: &[Track],
         source: &str,
     ) -> Result<(usize, bool), StoreError> {
-        let json = serde_json::to_string(tracks).map_err(|e| StoreError::Invalid {
-            detail: format!("track encode: {e}"),
-        })?;
+        let json = to_json("track", tracks)?;
         let fingerprint = fnv1a(json.as_bytes());
         if let Some(existing) = self
             .catalog
@@ -490,9 +496,7 @@ impl TrackStore {
         source: Option<String>,
     ) -> Result<usize, StoreError> {
         let id = self.catalog.len();
-        let json = serde_json::to_string(tracks).map_err(|e| StoreError::Invalid {
-            detail: format!("track encode: {e}"),
-        })?;
+        let json = to_json("track", tracks)?;
         let fingerprint = fnv1a(json.as_bytes());
 
         let cell_size = Self::cell_size_for(info);
@@ -523,17 +527,9 @@ impl TrackStore {
             source,
         };
 
-        let path = self.clip_path(id);
-        let tmp = self
-            .dir
-            .join(CLIPS_DIR)
-            .join(format!("{}.tmp", clip_file_name(id)));
-        self.io.write(&tmp, json.as_bytes())?;
-        self.io.rename(&tmp, &path)?;
-        self.io.append(
-            &self.dir.join(JOURNAL_FILE),
-            &journal::encode_record(&meta)?,
-        )?;
+        let line = durable::encode_line(&to_json("journal", &meta)?);
+        durable::write_atomic(&*self.io, &self.clip_path(id), json.as_bytes())?;
+        self.io.append(&self.dir.join(JOURNAL_FILE), &line)?;
         // === acknowledged: the record is durable ===
         self.catalog.push(meta);
         let _ = self.write_checkpoint(); // best-effort; journal is authoritative
@@ -574,7 +570,7 @@ impl TrackStore {
     fn read_with_retry(&self, path: &Path) -> Result<Vec<u8>, StoreError> {
         let mut attempt = 0u32;
         loop {
-            match self.io.read(path) {
+            match self.io.read(path).map_err(StoreError::from) {
                 Ok(bytes) => return Ok(bytes),
                 Err(e) if e.is_transient() && attempt < self.opts.read_retries => {
                     let backoff = retry_backoff(self.opts.backoff_base_seconds, attempt);
@@ -753,7 +749,7 @@ pub fn fsck(dir: &Path, repair: bool) -> Result<FsckReport, StoreError> {
 /// loss — never expected from crashes), remove orphan debris, and
 /// rewrite the `catalog.json` checkpoint. Without `repair` nothing is
 /// modified; the report says what *would* be done.
-pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckReport, StoreError> {
+pub fn fsck_with(dir: &Path, io: &dyn Io, repair: bool) -> Result<FsckReport, StoreError> {
     let mut report = FsckReport {
         repaired: repair,
         ..FsckReport::default()
@@ -780,9 +776,7 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
         report.invalid_records = replayed.invalid_records;
         if repair && (replayed.torn_tail || replayed.invalid_records > 0) {
             // keep only the valid prefix (atomic rewrite)
-            let tmp = dir.join(format!("{JOURNAL_FILE}.tmp"));
-            io.write(&tmp, &bytes[..replayed.valid_bytes])?;
-            io.rename(&tmp, &journal_path)?;
+            durable::write_atomic(io, &journal_path, &bytes[..replayed.valid_bytes])?;
             report.torn_tail_truncated = replayed.torn_tail;
         }
         replayed.entries
@@ -792,7 +786,7 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
         if repair {
             let mut bytes = Vec::new();
             for m in &checkpoint {
-                bytes.extend(journal::encode_record(m)?);
+                bytes.extend(durable::encode_line(&to_json("journal", m)?));
             }
             io.append(&journal_path, &bytes)?;
         }
@@ -834,7 +828,7 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
             }
         }
     }
-    let catalog_tmp = dir.join(format!("{CATALOG_FILE}.tmp"));
+    let catalog_tmp = durable::tmp_path(&catalog_path);
     if io.exists(&catalog_tmp) {
         orphans.push(catalog_tmp);
     }
@@ -853,12 +847,8 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
 
     // bring the checkpoint back in sync with the journal
     if repair && (report.checkpoint_entries != entries.len() || !io.exists(&catalog_path)) {
-        let json = serde_json::to_string(&entries).map_err(|e| StoreError::Invalid {
-            detail: format!("catalog encode: {e}"),
-        })?;
-        let tmp = dir.join(format!("{CATALOG_FILE}.tmp"));
-        io.write(&tmp, json.as_bytes())?;
-        io.rename(&tmp, &catalog_path)?;
+        let json = to_json("catalog", &entries)?;
+        durable::write_atomic(io, &catalog_path, json.as_bytes())?;
         report.checkpoint_rewritten = true;
     }
     Ok(report)
@@ -867,7 +857,7 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{FaultyIo, StoreFaultPlan, StoreOp};
+    use otif_core::durable::{FaultyIo, IoFaultPlan, IoOp};
     use otif_cv::Detection;
     use otif_sim::ObjectClass;
 
@@ -1020,7 +1010,7 @@ mod tests {
         let id = store
             .ingest_clip(&info(), &[track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])])
             .unwrap();
-        let io = Arc::new(FaultyIo::new(RealIo, StoreFaultPlan::transient_reads(1, 2)));
+        let io = Arc::new(FaultyIo::new(RealIo, IoFaultPlan::transient_reads(1, 2)));
         // read ordinal 0 is the journal replay on open; 1 and 2 fail
         let store = TrackStore::open_with(&dir, io, StoreOptions::default()).unwrap();
         store.load(id).unwrap();
@@ -1037,7 +1027,7 @@ mod tests {
         // landed but was never acknowledged
         let io = Arc::new(FaultyIo::new(
             RealIo,
-            StoreFaultPlan::crash_at(StoreOp::Append, 2),
+            IoFaultPlan::crash_at(IoOp::Append, 2),
         ));
         let mut store = TrackStore::create_with(&dir, io, StoreOptions::default()).unwrap();
         let t0 = vec![track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])];
@@ -1065,10 +1055,7 @@ mod tests {
     fn fsck_truncates_torn_journal_tail() {
         let dir = tmp_dir("torn-tail");
         // torn append on the second ingest's journal record
-        let io = Arc::new(FaultyIo::new(
-            RealIo,
-            StoreFaultPlan::torn_at(StoreOp::Append, 2),
-        ));
+        let io = Arc::new(FaultyIo::new(RealIo, IoFaultPlan::torn_at(IoOp::Append, 2)));
         let mut store = TrackStore::create_with(&dir, io, StoreOptions::default()).unwrap();
         store
             .ingest_clip(&info(), &[track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])])

@@ -13,12 +13,12 @@
 //! - **transient reads** — bounded deterministic retry heals transient
 //!   faults and charges the virtual backoff schedule, never wall-clock.
 
+use otif_core::durable::{FaultyIo, Io, IoFaultPlan, IoOp, RealIo};
 use otif_cv::Detection;
 use otif_geom::Rect;
 use otif_serve::{
-    fsck, mixed_workload, run_workload_traced, Answer, CacheMode, ClipInfo, FaultyIo,
-    OverloadPolicy, QueryServer, RealIo, ServeError, ServeOptions, ServeQuery, StoreError,
-    StoreFaultPlan, StoreIo, StoreOp, StoreOptions, TrackStore,
+    fsck, mixed_workload, run_workload_traced, Answer, CacheMode, ClipInfo, OverloadPolicy,
+    QueryServer, ServeError, ServeOptions, ServeQuery, StoreError, StoreOptions, TrackStore,
 };
 use otif_sim::ObjectClass;
 use otif_track::Track;
@@ -105,16 +105,16 @@ proptest! {
 
         // fault-free counting run: the I/O trace the crash indexes into
         let count_dir = temp_dir(&format!("count-{seed:x}"));
-        let counter = Arc::new(FaultyIo::new(RealIo, StoreFaultPlan::none()));
+        let counter = Arc::new(FaultyIo::new(RealIo, IoFaultPlan::none()));
         {
             let mut store = TrackStore::create_with(
-                &count_dir, Arc::clone(&counter) as Arc<dyn StoreIo>, StoreOptions::default(),
+                &count_dir, Arc::clone(&counter) as Arc<dyn Io>, StoreOptions::default(),
             ).unwrap();
             for tracks in &per_clip {
                 store.ingest_clip(&info(), tracks).unwrap();
             }
         }
-        let op = [StoreOp::Write, StoreOp::Rename, StoreOp::Append][op_pick];
+        let op = [IoOp::Write, IoOp::Rename, IoOp::Append][op_pick];
         let total = counter.ops()[&op];
         let ordinal = ordinal_pick % total;
 
@@ -123,7 +123,7 @@ proptest! {
         let mut acked = 0usize;
         if let Ok(mut store) = TrackStore::create_with(
             &dir,
-            Arc::new(FaultyIo::new(RealIo, StoreFaultPlan::crash_at(op, ordinal))),
+            Arc::new(FaultyIo::new(RealIo, IoFaultPlan::crash_at(op, ordinal))),
             StoreOptions::default(),
         ) {
             for tracks in &per_clip {
@@ -304,7 +304,7 @@ fn transient_reads_heal_within_the_retry_budget() {
     let opts = StoreOptions::default();
     let store = TrackStore::open_with(
         &dir,
-        Arc::new(FaultyIo::new(RealIo, StoreFaultPlan::transient_reads(1, 2))),
+        Arc::new(FaultyIo::new(RealIo, IoFaultPlan::transient_reads(1, 2))),
         opts,
     )
     .unwrap();
@@ -326,7 +326,7 @@ fn transient_reads_heal_within_the_retry_budget() {
     // three consecutive failures exhaust the budget
     let store = TrackStore::open_with(
         &dir,
-        Arc::new(FaultyIo::new(RealIo, StoreFaultPlan::transient_reads(1, 3))),
+        Arc::new(FaultyIo::new(RealIo, IoFaultPlan::transient_reads(1, 3))),
         StoreOptions::default(),
     )
     .unwrap();

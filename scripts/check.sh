@@ -174,7 +174,8 @@ chaos_out="$(timeout 600 cargo run --release -q -p otif-bench --bin chaos smoke)
 echo "$chaos_out" | grep -q 'zero acked loss, bitwise-identical resumes'
 # CLI round-trip: journal a run, cut the journal to its first
 # acknowledgement (simulated crash), resume, and demand byte-identical
-# tracks against the uninterrupted batched run from the exec smoke
+# tracks against the uninterrupted batched run from the exec smoke;
+# then corrupt one checkpointed payload and resume again
 cargo run --release -q --bin otif-cli -- execute \
   --model "$tmp/model.json" --dataset caldot2 --clips 2 --seconds 6 --seed 3 \
   --streams 2 --detector-exec batched --run-dir "$tmp/run" \
@@ -189,6 +190,24 @@ timeout 300 cargo run --release -q --bin otif-cli -- execute \
 cmp "$tmp/tracks-batched.json" "$tmp/tracks-resumed.json"
 grep -q '"resumed_clips_skipped":1' "$tmp/stats-resumed.json"
 grep -q '"resumed_clips_recomputed":1' "$tmp/stats-resumed.json"
+# Payload check end to end: the resume re-acknowledged the recomputed
+# clip, so both clips are journaled now. Flip one byte of clip 0's
+# payload; the next resume must fail its fingerprint check, recompute
+# exactly that clip and still produce byte-identical tracks.
+python3 - "$tmp/run/clips/clip_0.json" <<'PY'
+import sys
+p = sys.argv[1]
+b = bytearray(open(p, "rb").read())
+b[len(b) // 2] ^= 0x55
+open(p, "wb").write(bytes(b))
+PY
+timeout 300 cargo run --release -q --bin otif-cli -- execute \
+  --model "$tmp/model.json" --dataset caldot2 --clips 2 --seconds 6 --seed 3 \
+  --streams 2 --detector-exec batched --resume "$tmp/run" \
+  --stats "$tmp/stats-corrupt.json" --out "$tmp/tracks-corrupt.json" >/dev/null 2>&1
+cmp "$tmp/tracks-batched.json" "$tmp/tracks-corrupt.json"
+grep -q '"resumed_clips_skipped":1' "$tmp/stats-corrupt.json"
+grep -q '"resumed_clips_recomputed":1' "$tmp/stats-corrupt.json"
 
 echo "== smokes left the tracked results/ untouched"
 if [ "$(results_state)" != "$results_before" ]; then

@@ -15,10 +15,11 @@
 //! file carries only trained weights, window sizes, the refinement
 //! clusters and the tuned curve.
 
+use otif::core::durable::RealIo;
 use otif::core::workflow::OtifArtifacts;
 use otif::core::{Otif, OtifOptions};
 use otif::engine::{
-    run_manifest, DetectorExec, Engine, EngineOptions, FaultPlan, RealRunIo, RunJournal, RunSession,
+    run_manifest, DetectorExec, Engine, EngineOptions, FaultPlan, RunJournal, RunSession,
 };
 use otif::geom::{Point, Polygon};
 use otif::query::{AggregateQuery, FrameLimitQuery, FrameQueryKind, TrackQuery};
@@ -349,15 +350,14 @@ fn cmd_execute(flags: HashMap<String, String>) -> Result<(), String> {
         // recomputes only the rest.
         let session = if let Some(dir) = run_dir {
             let manifest = run_manifest(&point.config, &ctx, &dataset.test, &opts);
-            let journal = RunJournal::create(Path::new(dir), Arc::new(RealRunIo), &manifest)
+            let journal = RunJournal::create(Path::new(dir), Arc::new(RealIo), &manifest)
                 .map_err(|e| e.to_string())?;
             eprintln!("journaling run -> {dir}");
             Some(RunSession::fresh(Arc::new(journal)))
         } else if let Some(dir) = resume_dir {
             let manifest = run_manifest(&point.config, &ctx, &dataset.test, &opts);
-            let (journal, replayed) =
-                RunJournal::open(Path::new(dir), Arc::new(RealRunIo), &manifest)
-                    .map_err(|e| e.to_string())?;
+            let (journal, replayed) = RunJournal::open(Path::new(dir), Arc::new(RealIo), &manifest)
+                .map_err(|e| e.to_string())?;
             let journal = Arc::new(journal);
             let recovered = journal.recover(&replayed, dataset.test.len());
             let session = RunSession::resumed(journal, recovered);

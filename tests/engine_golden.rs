@@ -18,12 +18,13 @@
 //! (a track-stage fault: how far upstream stages ran ahead) are left out.
 
 use otif::core::config::{OtifConfig, TrackerKind};
+use otif::core::durable::{Io, RealIo};
 use otif::core::fnv1a;
 use otif::core::pipeline::ExecutionContext;
 use otif::cv::{Component, CostLedger, CostModel, DetectorArch, DetectorConfig};
 use otif::engine::{
-    run_manifest, DetectorExec, Engine, EngineOptions, EngineRun, FaultPlan, RealRunIo, RunIo,
-    RunJournal, RunSession, StageName, RUN_JOURNAL_FILE,
+    run_manifest, DetectorExec, Engine, EngineOptions, EngineRun, FaultPlan, RunJournal,
+    RunSession, StageName, RUN_JOURNAL_FILE,
 };
 use otif::sim::{Clip, DatasetConfig, DatasetKind, DatasetScale};
 use std::fmt::Write;
@@ -107,7 +108,7 @@ fn run_case(clips: &[Clip], opts: &EngineOptions) -> String {
 fn resumed_case(clips: &[Clip], opts: &EngineOptions) -> String {
     let cfg = config();
     let ctx = ExecutionContext::bare(CostModel::default(), 7);
-    let io: Arc<dyn RunIo> = Arc::new(RealRunIo);
+    let io: Arc<dyn Io> = Arc::new(RealIo);
     let dir = std::env::temp_dir().join(format!("otif-engine-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let manifest = run_manifest(&cfg, &ctx, clips, opts);

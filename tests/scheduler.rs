@@ -5,11 +5,12 @@
 //! every stream count. Worker count is an execution resource, never a
 //! run identity.
 
+use otif::core::durable::{Io, RealIo};
 use otif::core::pipeline::ExecutionContext;
 use otif::cv::{Component, CostLedger, CostModel, DetectorArch, DetectorConfig};
 use otif::engine::{
-    run_manifest, Engine, EngineOptions, FaultKind, FaultPlan, FaultSpec, RealRunIo, RunIo,
-    RunJournal, RunSession, StageName, RUN_JOURNAL_FILE,
+    run_manifest, Engine, EngineOptions, FaultKind, FaultPlan, FaultSpec, RunJournal, RunSession,
+    StageName, RUN_JOURNAL_FILE,
 };
 use otif::sim::{Clip, DatasetConfig, DatasetKind, DatasetScale};
 use std::sync::Arc;
@@ -199,7 +200,7 @@ fn journal_cut_resume_is_bitwise_identical_across_worker_counts() {
 
     // Journaled run on 8 workers. The manifest is derived from options
     // with workers=2 to prove worker count is no part of run identity.
-    let io: Arc<dyn RunIo> = Arc::new(RealRunIo);
+    let io: Arc<dyn Io> = Arc::new(RealIo);
     let dir = std::env::temp_dir().join(format!("otif-sched-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let manifest = run_manifest(&cfg, &ctx, &clips, &opts_at(2));
