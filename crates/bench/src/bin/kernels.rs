@@ -21,10 +21,11 @@
 //! - recurrent-tracker inference, looped (`TrackerModel`, one pair or
 //!   GRU step per call) vs packed (`PackedTracker`, one batch), per pair
 //!   and per step;
-//! - frame-limit queries on one clip's tracks, a per-frame scan (every
-//!   track probed at every frame) vs `FrameLimitQuery::clip_matches`'
-//!   track-span sweep, and `select_frames` alone vs a stable-sort greedy
-//!   selection that checks every taken frame.
+//! - frame-limit queries on one clip's tracks, a track-span sweep that
+//!   matches each frame as it reaches it vs `FrameLimitQuery::table_matches`
+//!   on the clip's prebuilt `FrameTable` (with the table's build time and
+//!   bytes), and `select_frames` alone vs a stable-sort greedy selection
+//!   that checks every taken frame.
 //!
 //! Every pair of paths is checked before timing, on every run: GEMM
 //! paths, renderers and tracker paths must agree bit for bit, GEMM and
@@ -49,7 +50,7 @@ use otif_nn::kernels::{
     matmul_portable, ConvShape,
 };
 use otif_nn::{BatchTensor3, KernelPath, Tensor3};
-use otif_query::{ClipMatches, FrameLimitQuery, FrameQueryKind, FrameRef};
+use otif_query::{is_car, ClipMatches, FrameLimitQuery, FrameQueryKind, FrameRef, FrameTable};
 use otif_sim::{Clip, DatasetKind, GrayImage, ObjectClass, Renderer};
 use otif_track::recurrent::HIDDEN;
 use otif_track::{PairBatch, StepBatch, Track, TrackerModel};
@@ -134,8 +135,8 @@ struct TrackerBench {
     packed_us_per_step: f64,
 }
 
-/// One frame-limit query on one clip: the per-frame scan vs the
-/// track-span sweep.
+/// One frame-limit query on one clip: the track-span sweep vs a read of
+/// the prebuilt frame table, and the table's build time and size.
 #[derive(Serialize)]
 struct QueryBench {
     query: String,
@@ -144,9 +145,11 @@ struct QueryBench {
     tracks: usize,
     matches: usize,
     reps: usize,
-    scan_us_per_clip: f64,
     sweep_us_per_clip: f64,
-    speedup_sweep_over_scan: f64,
+    table_us_per_clip: f64,
+    speedup_table_over_sweep: f64,
+    build_us_per_clip: f64,
+    table_bytes_per_clip: usize,
 }
 
 /// `select_frames` over many clips' matches vs the stable-sort greedy
@@ -642,34 +645,56 @@ fn bench_tracker(model: &TrackerModel, tracks: usize, dets: usize, reps: usize) 
     }
 }
 
-/// Per-frame reference scan: every car track probed with
-/// `Track::center_at` at every frame, as `clip_matches` ran before the
-/// track-span sweep.
-fn scan_clip_matches(
+/// Reference predicate: a square root per pair and no early stop, as
+/// `positions_match` ran before the frame table.
+fn sweep_positions_match(q: &FrameLimitQuery, positions: &[Point]) -> bool {
+    match &q.kind {
+        FrameQueryKind::Count => positions.len() >= q.n,
+        FrameQueryKind::Region(poly) => {
+            positions.iter().filter(|p| poly.contains(p)).count() >= q.n
+        }
+        FrameQueryKind::HotSpot { radius } => positions
+            .iter()
+            .any(|c| positions.iter().filter(|p| p.dist(c) <= *radius).count() >= q.n),
+    }
+}
+
+/// Reference track-span sweep: the car tracks visible at each frame
+/// kept in an active list with forward detection cursors, each frame
+/// matched as the sweep reaches it, as `clip_matches` ran before the
+/// frame table.
+fn sweep_clip_matches(
     q: &FrameLimitQuery,
     tracks: &[Track],
     num_frames: usize,
 ) -> Vec<(usize, usize)> {
-    let cars: Vec<&Track> = tracks
+    let mut spans: Vec<&Track> = tracks
         .iter()
-        .filter(|t| {
-            matches!(
-                t.class,
-                ObjectClass::Car | ObjectClass::Truck | ObjectClass::Bus
-            )
-        })
+        .filter(|t| is_car(t.class) && !t.is_empty())
         .collect();
-    (0..num_frames)
-        .filter_map(|f| {
-            let visible: Vec<(Point, usize)> = cars
-                .iter()
-                .filter_map(|t| Some((t.center_at(f)?, t.last_frame() - t.first_frame())))
-                .collect();
-            let pts: Vec<Point> = visible.iter().map(|v| v.0).collect();
-            let min_dur = visible.iter().map(|v| v.1).min().unwrap_or(0);
-            q.positions_match(&pts).then_some((min_dur, f))
-        })
-        .collect()
+    spans.sort_unstable_by_key(|t| t.first_frame());
+    let mut entering = spans.into_iter().peekable();
+    // (track, last frame, duration, detection cursor)
+    let mut active: Vec<(&Track, usize, usize, usize)> = Vec::new();
+    let mut pts: Vec<Point> = Vec::new();
+    let mut out = Vec::new();
+    for f in 0..num_frames {
+        while let Some(t) = entering.next_if(|t| t.first_frame() <= f) {
+            active.push((t, t.last_frame(), t.last_frame() - t.first_frame(), 0));
+        }
+        active.retain(|a| a.1 >= f);
+        pts.clear();
+        for (t, _, _, cursor) in active.iter_mut() {
+            while *cursor + 1 < t.dets.len() && t.dets[*cursor + 1].0 <= f {
+                *cursor += 1;
+            }
+            pts.push(t.center_from(*cursor, f));
+        }
+        if sweep_positions_match(q, &pts) {
+            out.push((active.iter().map(|a| a.2).min().unwrap_or(0), f));
+        }
+    }
+    out
 }
 
 /// Reference selection: a stable sort on (highest minimum duration,
@@ -769,8 +794,9 @@ fn bench_queries(w: f32, h: f32) -> Vec<(&'static str, FrameLimitQuery)> {
     ]
 }
 
-/// Per-frame scan vs sweep for one query on one clip, gated on equal
-/// matches before timing.
+/// Track-span sweep vs a read of the clip's prebuilt frame table for
+/// one query on one clip, gated on equal matches before timing, plus
+/// the table's build time and size.
 fn bench_query(
     label: &str,
     q: &FrameLimitQuery,
@@ -779,22 +805,26 @@ fn bench_query(
     reps: usize,
 ) -> QueryBench {
     let frames = clip.num_frames();
-    let matches = q.clip_matches(tracks, frames);
+    let table = FrameTable::build(tracks, frames);
+    let matches = q.table_matches(&table);
     assert_eq!(
         matches,
-        scan_clip_matches(q, tracks, frames),
-        "{label} on {}: sweep diverged from the per-frame scan",
+        sweep_clip_matches(q, tracks, frames),
+        "{label} on {}: frame table diverged from the track-span sweep",
         clip.scene.name
     );
-    let (scan, sweep) = time_interleaved(
+    let (sweep, read) = time_interleaved(
         reps,
         || {
-            black_box(scan_clip_matches(q, tracks, frames));
+            black_box(sweep_clip_matches(q, tracks, frames));
         },
         || {
-            black_box(q.clip_matches(tracks, frames));
+            black_box(q.table_matches(&table));
         },
     );
+    let build = time_per_call(reps, || {
+        black_box(FrameTable::build(tracks, frames));
+    });
     QueryBench {
         query: label.to_string(),
         dataset: clip.scene.name.clone(),
@@ -802,9 +832,11 @@ fn bench_query(
         tracks: tracks.len(),
         matches: matches.len(),
         reps,
-        scan_us_per_clip: scan * 1e6,
         sweep_us_per_clip: sweep * 1e6,
-        speedup_sweep_over_scan: scan / sweep,
+        table_us_per_clip: read * 1e6,
+        speedup_table_over_sweep: sweep / read,
+        build_us_per_clip: build * 1e6,
+        table_bytes_per_clip: table.bytes(),
     }
 }
 
@@ -1151,22 +1183,26 @@ fn main() {
                 b.query.clone(),
                 format!("{}/{}", b.frames, b.tracks),
                 b.matches.to_string(),
-                format!("{:.1}", b.scan_us_per_clip),
                 format!("{:.1}", b.sweep_us_per_clip),
-                format!("{:.2}x", b.speedup_sweep_over_scan),
+                format!("{:.1}", b.table_us_per_clip),
+                format!("{:.2}x", b.speedup_table_over_sweep),
+                format!("{:.1}", b.build_us_per_clip),
+                b.table_bytes_per_clip.to_string(),
             ]
         })
         .collect();
     print_table(
-        "Frame-limit queries — per-frame scan vs track-span sweep, one clip (wall clock, equal answers)",
+        "Frame-limit queries — track-span sweep vs frame table, one clip (wall clock, equal answers)",
         &[
             "dataset",
             "query",
             "frames/tracks",
             "matches",
-            "scan us",
             "sweep us",
+            "table us",
             "speedup",
+            "build us",
+            "table B",
         ],
         &rows,
     );

@@ -26,9 +26,21 @@ pub struct EngineCounters {
     in_flight: AtomicU64,
     max_in_flight: AtomicU64,
     peak_os_threads: AtomicU64,
+    clips_finished: AtomicU64,
 }
 
 impl EngineCounters {
+    /// Record a clip finishing in-stream. The 1st, 2nd, 4th, 8th, …
+    /// finished clip samples the OS thread count: the worker pool is
+    /// fixed for the run, so a few samples see it whole, while each
+    /// sample reads `/proc`.
+    pub fn clip_finished(&self) {
+        let done = self.clips_finished.fetch_add(1, Ordering::Relaxed) + 1;
+        if done.is_power_of_two() {
+            self.sample_os_threads();
+        }
+    }
+
     /// Record a frame entering the pipeline (decoded).
     pub fn frame_entered(&self) {
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
@@ -47,7 +59,8 @@ impl EngineCounters {
 
     /// Sample the process's current OS thread count into the peak
     /// gauge — the oversubscription guard for the fixed worker pool.
-    /// Cheap (one /proc readdir), called at clip boundaries only.
+    /// One /proc readdir (a few µs), taken around the pool's run and at
+    /// about log₂(clips) clip ends ([`Self::clip_finished`]).
     pub fn sample_os_threads(&self) {
         #[cfg(target_os = "linux")]
         if let Ok(entries) = std::fs::read_dir("/proc/self/task") {

@@ -493,9 +493,9 @@ impl<'a> StreamTask<'a> {
             }
             self.results.lock()[at.idx] = Some(tracks);
             // Clip boundaries are where the worker population is
-            // interesting: sample the thread count for the
+            // interesting: some of them sample the thread count for the
             // oversubscription gauge.
-            counters.sample_os_threads();
+            counters.clip_finished();
         }
         true
     }

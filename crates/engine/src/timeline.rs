@@ -48,7 +48,6 @@
 
 use crate::batcher::RoundRecord;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-frame charges recorded by the stage loops for one clip, indexed
 /// by sampled-frame ordinal. Only complete recordings (every frame of
@@ -258,9 +257,9 @@ pub(crate) fn replay(
     prefetch: usize,
 ) -> ReplayOutcome {
     let prefetch = prefetch.max(1);
-    // (clip, ordinal) → (stream, flattened frame index) for surviving
-    // frames, so round tickets can be mapped back onto stream clocks.
-    let mut locate: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
+    // clip → (stream, flattened index of its first frame) for surviving
+    // clips, so round tickets can be mapped back onto stream clocks.
+    let mut located: Vec<Option<(usize, usize)>> = vec![None; frame_counts.len()];
     let mut sims: Vec<StreamSim> = Vec::with_capacity(assignments.len());
     for (s, assigned) in assignments.iter().enumerate() {
         let mut frames: Vec<FrameSim> = Vec::new();
@@ -275,9 +274,8 @@ pub(crate) fn replay(
                 debug_assert!(false, "completed clip {clip} has a partial timeline");
                 continue;
             }
-            let base = frames.len();
+            located[clip] = Some((s, frames.len()));
             for o in 0..frame_counts[clip] {
-                locate.insert((clip, o), (s, base + o));
                 frames.push(FrameSim {
                     decode: t.decode[o],
                     window: t.window[o],
@@ -304,7 +302,10 @@ pub(crate) fn replay(
         let members: Vec<(usize, usize)> = round
             .tickets
             .iter()
-            .filter_map(|t| locate.get(&(t.clip, t.ordinal)).copied())
+            .filter_map(|t| {
+                let (s, base) = (*located.get(t.clip)?)?;
+                (t.ordinal < frame_counts[t.clip]).then_some((s, base + t.ordinal))
+            })
             .collect();
         let mut start = detector_clock;
         for &(s, j) in &members {

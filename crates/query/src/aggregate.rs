@@ -6,17 +6,11 @@
 //! volume)"*. BlazeIt optimizes exactly this class of aggregate queries
 //! per-query; OTIF answers them by scanning tracks.
 
+use crate::is_car;
 use crate::metrics::count_accuracy;
-use otif_sim::{Clip, ObjectClass};
+use otif_sim::Clip;
 use otif_track::Track;
 use serde::{Deserialize, Serialize};
-
-fn is_car(class: ObjectClass) -> bool {
-    matches!(
-        class,
-        ObjectClass::Car | ObjectClass::Truck | ObjectClass::Bus
-    )
-}
 
 /// Aggregate queries over a clip's tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,7 +114,7 @@ mod tests {
     use super::*;
     use otif_cv::Detection;
     use otif_geom::Rect;
-    use otif_sim::{DatasetConfig, DatasetKind};
+    use otif_sim::{DatasetConfig, DatasetKind, ObjectClass};
 
     fn det(x: f32) -> Detection {
         Detection {

@@ -8,8 +8,9 @@
 //! minimum duration of the visible tracks, as in §4.2's execution
 //! details.
 
+use crate::is_car;
 use otif_geom::{Point, Polygon};
-use otif_sim::{Clip, ObjectClass};
+use otif_sim::Clip;
 use otif_track::Track;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -57,24 +58,225 @@ pub struct FrameRef {
 /// [`FrameLimitQuery::clip_matches`].
 pub type ClipMatches = (usize, f32, Vec<(usize, usize)>);
 
-fn is_car(class: ObjectClass) -> bool {
-    matches!(
-        class,
-        ObjectClass::Car | ObjectClass::Truck | ObjectClass::Bus
-    )
+/// A clip's frame table: the positions of the car tracks visible at
+/// each frame, stored frame by frame, with each frame's minimum
+/// visible-track duration. It is built once per clip
+/// ([`FrameTable::build`]), and every frame-limit query on the clip reads
+/// it ([`FrameLimitQuery::table_matches`]).
+///
+/// `offsets` and `min_dur` depend only on the spans `(first_frame,
+/// last_frame)` of the clip's non-empty car tracks. Frame `f` holds one
+/// position per span covering it, and `min_dur[f]` is the shortest such
+/// span's `last_frame − first_frame`. A `Count` query reads only these
+/// two columns, so a constructor could fill them from a stored span
+/// column without decoding tracks.
+#[derive(Debug)]
+pub struct FrameTable {
+    /// Frame `f`'s positions are `positions[offsets[f]..offsets[f + 1]]`;
+    /// one entry per frame, plus one.
+    offsets: Vec<u32>,
+    /// The interpolated centers of the car tracks visible at each frame,
+    /// frame after frame, each frame's in ascending `x`
+    /// (`f32::total_cmp`), which the hot-spot test relies on.
+    positions: Vec<Point>,
+    /// Per frame, the minimum `last_frame − first_frame` of the car
+    /// tracks visible there (0 when none), saturating at `u32::MAX`.
+    min_dur: Vec<u32>,
+}
+
+impl FrameTable {
+    /// The table of a clip's tracks over frames `0..num_frames`.
+    ///
+    /// A car track is visible over its whole span, at positions
+    /// interpolated between its sampled detections. One forward sweep
+    /// over the frames keeps the visible tracks in an active list: a
+    /// track enters at its first frame, leaves after its last, and keeps
+    /// a cursor on its last detection at or before the current frame.
+    /// The cursor lands where [`Track::center_at`]'s binary search does
+    /// and both interpolate through [`Track::center_from`], so positions
+    /// are bitwise those of a per-frame probe of every track. Each
+    /// frame's positions are then sorted by `x` for the hot-spot test;
+    /// every predicate is a count, an `any` or a `min`, so their order
+    /// cannot change an answer.
+    pub fn build(tracks: &[Track], num_frames: usize) -> FrameTable {
+        let mut spans: Vec<&Track> = tracks
+            .iter()
+            .filter(|t| is_car(t.class) && !t.is_empty() && t.first_frame() < num_frames)
+            .collect();
+        spans.sort_unstable_by_key(|t| t.first_frame());
+        let visible: usize = spans
+            .iter()
+            .map(|t| t.last_frame().min(num_frames - 1) - t.first_frame() + 1)
+            .sum();
+        let mut table = FrameTable {
+            offsets: Vec::with_capacity(num_frames + 1),
+            positions: Vec::with_capacity(visible),
+            min_dur: Vec::with_capacity(num_frames),
+        };
+        table.offsets.push(0);
+        let mut entering = spans.into_iter().peekable();
+        // (track, last frame, duration, detection cursor)
+        let mut active: Vec<(&Track, usize, u32, usize)> = Vec::new();
+        for f in 0..num_frames {
+            while let Some(t) = entering.next_if(|t| t.first_frame() <= f) {
+                let dur = u32::try_from(t.last_frame() - t.first_frame()).unwrap_or(u32::MAX);
+                active.push((t, t.last_frame(), dur, 0));
+            }
+            active.retain(|a| a.1 >= f);
+            let start = table.positions.len();
+            for (t, _, _, cursor) in active.iter_mut() {
+                while *cursor + 1 < t.dets.len() && t.dets[*cursor + 1].0 <= f {
+                    *cursor += 1;
+                }
+                table.positions.push(t.center_from(*cursor, f));
+            }
+            sort_by_x(&mut table.positions[start..]);
+            table
+                .min_dur
+                .push(active.iter().map(|a| a.2).min().unwrap_or(0));
+            let end =
+                u32::try_from(table.positions.len()).expect("frame table under 2^32 positions");
+            table.offsets.push(end);
+        }
+        table
+    }
+
+    /// Number of frames the table covers.
+    pub fn num_frames(&self) -> usize {
+        self.min_dur.len()
+    }
+
+    /// The positions of the car tracks visible at `frame`.
+    pub fn positions_at(&self, frame: usize) -> &[Point] {
+        &self.positions[self.offsets[frame] as usize..self.offsets[frame + 1] as usize]
+    }
+
+    /// Heap bytes held by the table's three columns.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.offsets.as_slice())
+            + std::mem::size_of_val(self.positions.as_slice())
+            + std::mem::size_of_val(self.min_dur.as_slice())
+    }
+}
+
+/// `p.dist(c) <= radius`, decided on the squared distance away from the
+/// boundary. `Point::dist` is the correctly rounded square root of the
+/// same `f32` squared distance `d²`, and `radius` is an `f32`, so the
+/// rounded root is at most `radius` whenever `d² < radius²·(1 − 10⁻⁶)`
+/// and above it whenever `d² > radius²·(1 + 10⁻⁶)`: the band is about
+/// eight times wider than the root's rounding error. Inside the band,
+/// and for negative or NaN radii, the root itself is compared.
+struct Within {
+    radius: f32,
+    lo: f64,
+    hi: f64,
+}
+
+impl Within {
+    fn new(radius: f32) -> Within {
+        let r2 = f64::from(radius) * f64::from(radius);
+        let (lo, hi) = if radius >= 0.0 {
+            (r2 * (1.0 - 1e-6), r2 * (1.0 + 1e-6))
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
+        Within { radius, lo, hi }
+    }
+
+    fn test(&self, p: &Point, c: &Point) -> bool {
+        let d2 = f64::from(p.dist_sq(c));
+        if d2 < self.lo {
+            true
+        } else if d2 > self.hi {
+            false
+        } else {
+            p.dist(c) <= self.radius
+        }
+    }
+}
+
+/// Order positions by `x` (`f32::total_cmp`), as [`hotspot_match`]
+/// expects them.
+fn sort_by_x(positions: &mut [Point]) {
+    positions.sort_unstable_by(|a, b| a.x.total_cmp(&b.x));
+}
+
+/// The hot-spot predicate on positions sorted by [`sort_by_x`]: is some
+/// position within `radius` of at least `n` positions, itself included?
+///
+/// Each pair is tested once and counts for both ends (the test is
+/// symmetric: swapping the ends only negates `dx` and `dy`). A
+/// position's partners are walked in `x` order only while `dx·dx`,
+/// rounded as [`Point::dist_sq`] rounds it, stays within the band's top:
+/// `d²` is at least that square, and a later partner's `dx` is no
+/// smaller, so no later partner can be within the radius. A position
+/// tests itself (false only for a non-finite position or a negative or
+/// NaN radius) once its partners bring it to `n − 1`, and counting
+/// stops as soon as one position reaches `n`. `counts` is scratch.
+fn hotspot_match(sorted: &[Point], within: &Within, n: usize, counts: &mut Vec<usize>) -> bool {
+    let reaches = |count: usize, c: &Point| count >= n || (count + 1 == n && within.test(c, c));
+    if n <= 1 {
+        return sorted.iter().any(|c| reaches(0, c));
+    }
+    counts.clear();
+    counts.resize(sorted.len(), 0);
+    for (i, c) in sorted.iter().enumerate() {
+        for (j, p) in sorted.iter().enumerate().skip(i + 1) {
+            let dx = p.x - c.x;
+            if f64::from(dx * dx) > within.hi {
+                break;
+            }
+            if within.test(p, c) {
+                counts[i] += 1;
+                counts[j] += 1;
+                if reaches(counts[i], c) || reaches(counts[j], p) {
+                    return true;
+                }
+            }
+        }
+    }
+    false
+}
+
+/// The region predicate: at least `n` positions inside `poly`.
+fn region_match(poly: &Polygon, positions: &[Point], n: usize) -> bool {
+    positions
+        .iter()
+        .filter(|p| poly.contains(p))
+        .take(n)
+        .count()
+        >= n
+}
+
+/// `(min_dur, frame)` of every frame of `table` with at least `n`
+/// positions that satisfy `pred`, in frame order.
+fn frames_where(
+    table: &FrameTable,
+    n: usize,
+    mut pred: impl FnMut(&[Point]) -> bool,
+) -> Vec<(usize, usize)> {
+    (0..table.num_frames())
+        .filter(|&f| {
+            let pts = table.positions_at(f);
+            pts.len() >= n && pred(pts)
+        })
+        .map(|f| (table.min_dur[f] as usize, f))
+        .collect()
 }
 
 impl FrameLimitQuery {
-    /// Does a set of object positions satisfy the predicate?
+    /// Does a set of object positions satisfy the predicate? Counting
+    /// stops once it reaches `n`.
     pub fn positions_match(&self, positions: &[Point]) -> bool {
+        let n = self.n;
         match &self.kind {
-            FrameQueryKind::Count => positions.len() >= self.n,
-            FrameQueryKind::Region(poly) => {
-                positions.iter().filter(|p| poly.contains(p)).count() >= self.n
+            FrameQueryKind::Count => positions.len() >= n,
+            FrameQueryKind::Region(poly) => region_match(poly, positions, n),
+            FrameQueryKind::HotSpot { radius } => {
+                let mut sorted = positions.to_vec();
+                sort_by_x(&mut sorted);
+                hotspot_match(&sorted, &Within::new(*radius), n, &mut Vec::new())
             }
-            FrameQueryKind::HotSpot { radius } => positions
-                .iter()
-                .any(|c| positions.iter().filter(|p| p.dist(c) <= *radius).count() >= self.n),
         }
     }
 
@@ -84,53 +286,29 @@ impl FrameLimitQuery {
     /// the clip's own tracks and frame count, so clips can be evaluated
     /// independently (in parallel, or skipped entirely when an index
     /// proves no frame can match) and merged with
-    /// [`select_frames`](Self::select_frames).
-    ///
-    /// A car track is visible over its whole span, at positions
-    /// interpolated between its sampled detections. One forward sweep
-    /// over the frames keeps the visible tracks in an active list: a
-    /// track enters at its first frame, leaves after its last, and keeps
-    /// a cursor on its last detection at or before the current frame.
-    /// The cursor lands where [`Track::center_at`]'s binary search does
-    /// and both interpolate through [`Track::center_from`], so positions
-    /// are bitwise those of a per-frame probe of every track; every
-    /// predicate is a count, an `any` or a `min`, so the order of the
-    /// active list does not matter either.
+    /// [`select_frames`](Self::select_frames). It builds the clip's
+    /// [`FrameTable`] and matches on it.
     pub fn clip_matches(&self, tracks: &[Track], num_frames: usize) -> Vec<(usize, usize)> {
-        let mut spans: Vec<&Track> = tracks
-            .iter()
-            .filter(|t| is_car(t.class) && !t.is_empty())
-            .collect();
-        spans.sort_unstable_by_key(|t| t.first_frame());
-        let mut entering = spans.into_iter().peekable();
-        // (track, last frame, duration, detection cursor)
-        let mut active: Vec<(&Track, usize, usize, usize)> = Vec::new();
-        let mut pts: Vec<Point> = Vec::new();
-        let mut out = Vec::new();
-        for f in 0..num_frames {
-            while let Some(t) = entering.next_if(|t| t.first_frame() <= f) {
-                active.push((t, t.last_frame(), t.last_frame() - t.first_frame(), 0));
+        self.table_matches(&FrameTable::build(tracks, num_frames))
+    }
+
+    /// [`clip_matches`](Self::clip_matches) on a clip's prebuilt frame
+    /// table. A frame with `k` positions can match only if `k >= n`,
+    /// since every predicate counts a subset of them, so the predicate
+    /// is evaluated only there.
+    pub fn table_matches(&self, table: &FrameTable) -> Vec<(usize, usize)> {
+        let n = self.n;
+        match &self.kind {
+            FrameQueryKind::Count => frames_where(table, n, |_| true),
+            FrameQueryKind::Region(poly) => {
+                frames_where(table, n, |pts| region_match(poly, pts, n))
             }
-            active.retain(|a| a.1 >= f);
-            let hit = match &self.kind {
-                FrameQueryKind::Count => active.len() >= self.n,
-                _ => {
-                    pts.clear();
-                    for (t, _, _, cursor) in active.iter_mut() {
-                        while *cursor + 1 < t.dets.len() && t.dets[*cursor + 1].0 <= f {
-                            *cursor += 1;
-                        }
-                        pts.push(t.center_from(*cursor, f));
-                    }
-                    self.positions_match(&pts)
-                }
-            };
-            if hit {
-                let min_dur = active.iter().map(|a| a.2).min().unwrap_or(0);
-                out.push((min_dur, f));
+            FrameQueryKind::HotSpot { radius } => {
+                let within = Within::new(*radius);
+                let mut counts = Vec::new();
+                frames_where(table, n, |pts| hotspot_match(pts, &within, n, &mut counts))
             }
         }
-        out
     }
 
     /// The cross-clip half of [`execute_on_tracks`](Self::execute_on_tracks):
@@ -265,7 +443,7 @@ mod tests {
     use super::*;
     use otif_cv::Detection;
     use otif_geom::Rect;
-    use otif_sim::{DatasetConfig, DatasetKind};
+    use otif_sim::{DatasetConfig, DatasetKind, ObjectClass};
 
     fn det(x: f32, y: f32) -> Detection {
         Detection {
@@ -427,8 +605,83 @@ mod tests {
         assert_eq!(q.clip_matches(&[t], 9), vec![(8, 4)]);
     }
 
-    // Oracles: the per-frame scan of every track and the stable-sort
-    // greedy selection that checks every taken frame.
+    #[test]
+    fn hotspot_at_exactly_the_radius() {
+        let pts = [Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
+        let hotspot = |radius: f32| FrameLimitQuery {
+            kind: FrameQueryKind::HotSpot { radius },
+            n: 2,
+            limit: 10,
+            min_separation_s: 5.0,
+        };
+        assert!(hotspot(5.0).positions_match(&pts));
+        assert!(hotspot(5.0f32.next_up()).positions_match(&pts));
+        assert!(!hotspot(5.0f32.next_down()).positions_match(&pts));
+        assert!(!hotspot(-5.0).positions_match(&pts));
+        assert!(!hotspot(f32::NAN).positions_match(&pts));
+    }
+
+    #[test]
+    fn zero_n_matches_every_frame_but_hotspot_needs_a_position() {
+        let mut t = Track::new(0, ObjectClass::Car);
+        t.push(2, det(30.0, 30.0));
+        t.push(3, det(31.0, 30.0));
+        let q = |kind| FrameLimitQuery {
+            kind,
+            n: 0,
+            limit: 10,
+            min_separation_s: 0.0,
+        };
+        let all: Vec<(usize, usize)> = vec![(0, 0), (0, 1), (1, 2), (1, 3), (0, 4)];
+        assert_eq!(q(FrameQueryKind::Count).clip_matches(&[t.clone()], 5), all);
+        let region = FrameQueryKind::Region(Polygon::from_rect(&Rect::new(0.0, 0.0, 1.0, 1.0)));
+        assert_eq!(q(region).clip_matches(&[t.clone()], 5), all);
+        let hotspot = q(FrameQueryKind::HotSpot { radius: 1.0 });
+        assert_eq!(hotspot.clip_matches(&[t], 5), vec![(1, 2), (1, 3)]);
+        // a zero limit selects nothing
+        let per_clip: Vec<ClipMatches> = vec![(0, 1.0, all)];
+        assert!(count_query(1, 0).select_frames(&per_clip).is_empty());
+    }
+
+    #[test]
+    fn frame_table_layout() {
+        // a car over frames 1..=4 (one past the clip's end), a car at
+        // frame 2 only, an empty car and a pedestrian
+        let mut long = Track::new(0, ObjectClass::Truck);
+        long.push(1, det(0.0, 0.0));
+        long.push(4, det(30.0, 0.0));
+        let mut short = Track::new(1, ObjectClass::Car);
+        short.push(2, det(50.0, 50.0));
+        let mut ped = Track::new(3, ObjectClass::Pedestrian);
+        ped.push(0, det(9.0, 9.0));
+        let tracks = [long, short, Track::new(2, ObjectClass::Bus), ped];
+        let table = FrameTable::build(&tracks, 4);
+        assert_eq!(table.offsets, vec![0, 0, 1, 3, 4]);
+        assert_eq!(table.min_dur, vec![0, 3, 0, 3]);
+        assert_eq!(
+            table.positions_at(2),
+            &[Point::new(10.0, 0.0), Point::new(50.0, 50.0)]
+        );
+        assert_eq!(table.bytes(), 5 * 4 + 4 * 8 + 4 * 4);
+        assert_eq!(FrameTable::build(&tracks, 0).offsets, vec![0]);
+    }
+
+    // Oracles: the predicate with a square root per pair and no early
+    // stop, the per-frame scan of every track, the track-span sweep that
+    // matched each frame as it went, and the stable-sort greedy
+    // selection that checks every taken frame.
+
+    fn oracle_positions_match(q: &FrameLimitQuery, positions: &[Point]) -> bool {
+        match &q.kind {
+            FrameQueryKind::Count => positions.len() >= q.n,
+            FrameQueryKind::Region(poly) => {
+                positions.iter().filter(|p| poly.contains(p)).count() >= q.n
+            }
+            FrameQueryKind::HotSpot { radius } => positions
+                .iter()
+                .any(|c| positions.iter().filter(|p| p.dist(c) <= *radius).count() >= q.n),
+        }
+    }
 
     fn oracle_clip_matches(
         q: &FrameLimitQuery,
@@ -448,8 +701,49 @@ mod tests {
             if pts.is_empty() {
                 min_duration = 0;
             }
-            if q.positions_match(&pts) {
+            if oracle_positions_match(q, &pts) {
                 out.push((min_duration, f));
+            }
+        }
+        out
+    }
+
+    fn oracle_sweep_clip_matches(
+        q: &FrameLimitQuery,
+        tracks: &[Track],
+        num_frames: usize,
+    ) -> Vec<(usize, usize)> {
+        let mut spans: Vec<&Track> = tracks
+            .iter()
+            .filter(|t| is_car(t.class) && !t.is_empty())
+            .collect();
+        spans.sort_unstable_by_key(|t| t.first_frame());
+        let mut entering = spans.into_iter().peekable();
+        // (track, last frame, duration, detection cursor)
+        let mut active: Vec<(&Track, usize, usize, usize)> = Vec::new();
+        let mut pts: Vec<Point> = Vec::new();
+        let mut out = Vec::new();
+        for f in 0..num_frames {
+            while let Some(t) = entering.next_if(|t| t.first_frame() <= f) {
+                active.push((t, t.last_frame(), t.last_frame() - t.first_frame(), 0));
+            }
+            active.retain(|a| a.1 >= f);
+            let hit = match &q.kind {
+                FrameQueryKind::Count => active.len() >= q.n,
+                _ => {
+                    pts.clear();
+                    for (t, _, _, cursor) in active.iter_mut() {
+                        while *cursor + 1 < t.dets.len() && t.dets[*cursor + 1].0 <= f {
+                            *cursor += 1;
+                        }
+                        pts.push(t.center_from(*cursor, f));
+                    }
+                    oracle_positions_match(q, &pts)
+                }
+            };
+            if hit {
+                let min_dur = active.iter().map(|a| a.2).min().unwrap_or(0);
+                out.push((min_dur, f));
             }
         }
         out
@@ -521,24 +815,74 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn sweep_matches_per_frame_scan(
+        fn table_matches_per_frame_scan_and_sweep(
             specs in proptest::collection::vec((0usize..5, 0usize..40, 0usize..7, 0usize..6, 0u64..1000), 0..14),
             num_frames in 0usize..60,
             k in 0usize..3,
             n in 0usize..5,
             radius in 5.0f32..60.0,
+            pick in 0usize..6,
         ) {
+            // empty, non-car and single-detection tracks, tracks that run
+            // past the clip's end, and zero, negative and NaN radii
             let tracks = spec_tracks(&specs);
+            let radius = match pick {
+                0 => 0.0,
+                1 => -radius,
+                2 => f32::NAN,
+                _ => radius,
+            };
             let q = FrameLimitQuery {
                 kind: kind_for(k, radius),
                 n,
                 limit: 10,
                 min_separation_s: 5.0,
             };
-            proptest::prop_assert_eq!(
-                q.clip_matches(&tracks, num_frames),
-                oracle_clip_matches(&q, &tracks, num_frames)
-            );
+            let got = q.clip_matches(&tracks, num_frames);
+            proptest::prop_assert_eq!(&got, &oracle_clip_matches(&q, &tracks, num_frames));
+            proptest::prop_assert_eq!(&got, &oracle_sweep_clip_matches(&q, &tracks, num_frames));
+        }
+
+        #[test]
+        fn hotspot_band_is_exact_at_the_radius(
+            pts in proptest::collection::vec((0u32..48, 0u32..48), 2..9),
+            scale in 0usize..4,
+            pair in (0usize..8, 0usize..8),
+            ulps in 0usize..3,
+            n in 0usize..4,
+            odd in (0usize..12, 0usize..8),
+        ) {
+            // the radius is a pair's distance or one ulp either side of
+            // it; whole-number coordinates make exact distances common,
+            // and some cases get a NaN, infinite or negative-zero
+            // coordinate
+            let s = [1.0f32, 0.1, 3.7, 0.01][scale];
+            let mut pts: Vec<Point> = pts
+                .iter()
+                .map(|&(x, y)| Point::new(x as f32 * s, y as f32 * s))
+                .collect();
+            let (a, b) = (pts[pair.0 % pts.len()], pts[pair.1 % pts.len()]);
+            let d = a.dist(&b);
+            let specials = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+            if let Some(&v) = specials.get(odd.0) {
+                let i = odd.1 % pts.len();
+                if odd.1 % 2 == 0 {
+                    pts[i].x = v;
+                } else {
+                    pts[i].y = v;
+                }
+            }
+            let radius = [d.next_down(), d, d.next_up()][ulps];
+            let q = FrameLimitQuery {
+                kind: FrameQueryKind::HotSpot { radius },
+                n,
+                limit: 10,
+                min_separation_s: 5.0,
+            };
+            proptest::prop_assert_eq!(q.positions_match(&pts), oracle_positions_match(&q, &pts));
+            // the pair alone decides a two-position frame at n = 2
+            let q = FrameLimitQuery { n: 2, ..q };
+            proptest::prop_assert_eq!(q.positions_match(&[a, b]), oracle_positions_match(&q, &[a, b]));
         }
 
         #[test]

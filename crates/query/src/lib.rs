@@ -26,6 +26,19 @@ pub mod metrics;
 pub mod track_queries;
 
 pub use aggregate::AggregateQuery;
-pub use frame_queries::{ClipMatches, FrameLimitQuery, FrameQueryKind, FrameRef};
+pub use frame_queries::{ClipMatches, FrameLimitQuery, FrameQueryKind, FrameRef, FrameTable};
 pub use metrics::{count_accuracy, mean};
 pub use track_queries::{PathPattern, TrackQuery};
+
+use otif_sim::ObjectClass;
+
+/// Whether a track counts as a "car" for the paper's queries. Trucks and
+/// buses are included: the simulated detector (like COCO models on
+/// distant traffic) cannot reliably separate cars from small trucks, and
+/// the paper's hand-counts face the same ambiguity.
+pub fn is_car(class: ObjectClass) -> bool {
+    matches!(
+        class,
+        ObjectClass::Car | ObjectClass::Truck | ObjectClass::Bus
+    )
+}

@@ -1,8 +1,9 @@
 //! Object track queries (§4.1) plus the hard-braking example from §3.
 
+use crate::is_car;
 use crate::metrics::{count_accuracy, mean};
 use otif_geom::Polyline;
-use otif_sim::{Clip, ObjectClass, SceneSpec};
+use otif_sim::{Clip, SceneSpec};
 use otif_track::Track;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -131,17 +132,6 @@ pub enum TrackQuery {
     },
 }
 
-/// Whether a track counts as a "car" for the paper's queries. Trucks are
-/// included: the simulated detector (like COCO models on distant traffic)
-/// cannot reliably separate cars from small trucks, and the paper's
-/// hand-counts face the same ambiguity.
-fn is_car(class: ObjectClass) -> bool {
-    matches!(
-        class,
-        ObjectClass::Car | ObjectClass::Truck | ObjectClass::Bus
-    )
-}
-
 impl TrackQuery {
     /// A path-breakdown query over a scene's canonical patterns.
     pub fn path_breakdown(scene: &SceneSpec) -> TrackQuery {
@@ -244,7 +234,7 @@ mod tests {
     use super::*;
     use otif_cv::Detection;
     use otif_geom::Rect;
-    use otif_sim::{DatasetConfig, DatasetKind};
+    use otif_sim::{DatasetConfig, DatasetKind, ObjectClass};
 
     fn det(x: f32, y: f32) -> Detection {
         Detection {

@@ -19,14 +19,15 @@
 //!   interpolated positions are covered), a temporal summary (the
 //!   maximum number of concurrently alive tracks) and a content
 //!   fingerprint. Clip payloads — tracks plus their per-clip
-//!   [`GridIndex`](otif_geom::GridIndex) and interval index — are
-//!   deserialized lazily on first touch and cached.
+//!   [`GridIndex`](otif_geom::GridIndex) and
+//!   [`FrameTable`](otif_query::FrameTable) — are deserialized lazily on
+//!   first touch and cached.
 //! - [`QueryServer`] — a concurrent front-end executing the existing
 //!   `otif-query` aggregate / track / frame-limit operators across clips
 //!   via `otif_core::evalpool::par_map`, with **index-driven clip
 //!   pruning**: region and hot-spot limit queries only deserialize clips
 //!   whose catalog cells intersect the predicate, and hot-spot queries
-//!   additionally skip the per-frame scan of loaded clips whose spatial
+//!   additionally skip the frame-table read of loaded clips whose spatial
 //!   index proves no radius-cluster of `n` distinct tracks exists
 //!   (via [`GridIndex::query_circle`](otif_geom::GridIndex::query_circle)).
 //! - [`AnswerCache`] — an LRU answer cache keyed by `(canonical query,

@@ -609,8 +609,8 @@ impl QueryServer {
     }
 
     /// Per-clip frame matching, with the index-driven hot-spot
-    /// prefilter in front of the clip's track-span sweep
-    /// ([`FrameLimitQuery::clip_matches`]).
+    /// prefilter in front of a read of the clip's frame table
+    /// ([`FrameLimitQuery::table_matches`]).
     fn clip_frame_matches(
         &self,
         f: &FrameLimitQuery,
@@ -625,6 +625,6 @@ impl QueryServer {
                 }
             }
         }
-        f.clip_matches(&clip.tracks, clip.meta.num_frames)
+        f.table_matches(&clip.frames)
     }
 }

@@ -37,6 +37,7 @@ use crate::io::StoreError;
 use crate::journal::{self, JOURNAL_FILE};
 use otif_core::durable::{self, Io, RealIo};
 use otif_geom::{GridIndex, Point, Rect};
+use otif_query::FrameTable;
 use otif_track::Track;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -114,8 +115,8 @@ impl ClipMeta {
     }
 }
 
-/// A clip resident in memory: tracks plus the two per-clip indexes,
-/// built on load.
+/// A clip resident in memory: tracks plus the per-clip spatial index
+/// and frame table, built on load.
 pub struct LoadedClip {
     /// Catalog entry.
     pub meta: ClipMeta,
@@ -124,9 +125,9 @@ pub struct LoadedClip {
     /// Spatial index over rasterized track geometry; payload is the
     /// position of the owning track in `tracks`.
     pub index: GridIndex<u32>,
-    /// Temporal interval index: `(first_frame, last_frame)` per track,
-    /// sorted by first frame.
-    pub intervals: Vec<(usize, usize)>,
+    /// Per-frame positions and minimum durations of the car tracks,
+    /// which every frame-limit query reads.
+    pub frames: FrameTable,
 }
 
 impl LoadedClip {
@@ -141,17 +142,12 @@ impl LoadedClip {
                 index.insert(p, ti as u32);
             }
         }
-        let mut intervals: Vec<(usize, usize)> = tracks
-            .iter()
-            .filter(|t| !t.is_empty())
-            .map(|t| (t.first_frame(), t.last_frame()))
-            .collect();
-        intervals.sort_unstable();
+        let frames = FrameTable::build(&tracks, meta.num_frames);
         LoadedClip {
             meta,
             tracks,
             index,
-            intervals,
+            frames,
         }
     }
 
@@ -449,7 +445,9 @@ impl TrackStore {
     /// failure is swallowed because the journal already carries the
     /// entry.
     pub fn ingest_clip(&mut self, info: &ClipInfo, tracks: &[Track]) -> Result<usize, StoreError> {
-        self.ingest_inner(info, tracks, None)
+        let json = to_json("track", tracks)?;
+        let fingerprint = fnv1a(json.as_bytes());
+        self.ingest_inner(info, tracks, &json, fingerprint, None)
     }
 
     /// [`Self::ingest_clip`] keyed by an ingest `source` (e.g.
@@ -485,19 +483,21 @@ impl TrackStore {
                 ),
             });
         }
-        let id = self.ingest_inner(info, tracks, Some(source.to_string()))?;
+        let id = self.ingest_inner(info, tracks, &json, fingerprint, Some(source.to_string()))?;
         Ok((id, true))
     }
 
+    /// Append `tracks`, already encoded as `json` with FNV-1a
+    /// `fingerprint`, as the next clip.
     fn ingest_inner(
         &mut self,
         info: &ClipInfo,
         tracks: &[Track],
+        json: &str,
+        fingerprint: u64,
         source: Option<String>,
     ) -> Result<usize, StoreError> {
         let id = self.catalog.len();
-        let json = to_json("track", tracks)?;
-        let fingerprint = fnv1a(json.as_bytes());
 
         let cell_size = Self::cell_size_for(info);
         let cols = (info.width / cell_size).ceil().max(1.0) as u32;
