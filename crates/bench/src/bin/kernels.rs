@@ -1,8 +1,8 @@
 //! Wall-clock micro-bench of the `otif_nn::kernels` layer: naive
 //! reference loops vs the portable GEMM kernels vs the kernels this CPU
 //! dispatches to (AVX2 where available), plus the frame renderer that
-//! feeds them (`Renderer::render_region` vs its per-pixel
-//! `render_region_naive` reference).
+//! feeds them (`Renderer::render_region_on` at each sensor-noise tier
+//! this CPU runs vs the per-pixel `render_region_naive` reference).
 //!
 //! Unlike every other bench binary, this one reports **wall-clock
 //! seconds on the current machine** — the kernels are a real-CPU
@@ -51,7 +51,7 @@ use otif_nn::kernels::{
 };
 use otif_nn::{BatchTensor3, KernelPath, Tensor3};
 use otif_query::{is_car, ClipMatches, FrameLimitQuery, FrameQueryKind, FrameRef, FrameTable};
-use otif_sim::{Clip, DatasetKind, GrayImage, ObjectClass, Renderer};
+use otif_sim::{Clip, DatasetKind, GrayImage, NoiseTier, ObjectClass, Renderer};
 use otif_track::recurrent::HIDDEN;
 use otif_track::{PairBatch, StepBatch, Track, TrackerModel};
 use serde::Serialize;
@@ -113,6 +113,8 @@ struct BatchedBench {
 #[derive(Serialize)]
 struct RenderBench {
     shape: String,
+    /// The sensor-noise tier of the fast path (`NoiseTier::name`).
+    tier: String,
     out_w: usize,
     out_h: usize,
     frames: usize,
@@ -489,8 +491,8 @@ fn bench_windownet_batched(window: (u32, u32), batch: usize, reps: usize) -> Bat
 }
 
 /// Fast vs per-pixel rendering of one native region of a Warsaw clip
-/// at `out_w × out_h`, over `frames` frames per rep. Bitwise-gated on
-/// every frame before timing.
+/// at `out_w × out_h`, over `frames` frames per rep: one row per noise
+/// tier this CPU runs, each bitwise-gated on every frame before timing.
 fn bench_render(
     clip: &Clip,
     shape: &str,
@@ -499,42 +501,50 @@ fn bench_render(
     out_h: usize,
     frames: usize,
     reps: usize,
-) -> RenderBench {
+) -> Vec<RenderBench> {
     let r = Renderer::new(clip);
     let (rx, ry, rw, rh) = region;
-    for f in 0..frames {
-        let fast = r.render_region(f, rx, ry, rw, rh, out_w, out_h);
-        let naive = r.render_region_naive(f, rx, ry, rw, rh, out_w, out_h);
-        assert!(
-            fast.data.len() == naive.data.len()
-                && fast
-                    .data
-                    .iter()
-                    .zip(&naive.data)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "render_region diverged from the per-pixel reference ({shape}, frame {f})"
-        );
-    }
     let naive = time_per_call(reps, || {
         for f in 0..frames {
-            std::hint::black_box(r.render_region_naive(f, rx, ry, rw, rh, out_w, out_h));
+            black_box(r.render_region_naive(f, rx, ry, rw, rh, out_w, out_h));
         }
     }) / frames as f64;
-    let fast = time_per_call(reps, || {
-        for f in 0..frames {
-            std::hint::black_box(r.render_region(f, rx, ry, rw, rh, out_w, out_h));
-        }
-    }) / frames as f64;
-    RenderBench {
-        shape: shape.to_string(),
-        out_w,
-        out_h,
-        frames,
-        reps,
-        naive_us_per_render: naive * 1e6,
-        fast_us_per_render: fast * 1e6,
-        speedup_fast_over_naive: naive / fast,
-    }
+    NoiseTier::ALL
+        .into_iter()
+        .filter(|t| t.supported())
+        .map(|tier| {
+            for f in 0..frames {
+                let fast = r.render_region_on(tier, f, rx, ry, rw, rh, out_w, out_h);
+                let naive = r.render_region_naive(f, rx, ry, rw, rh, out_w, out_h);
+                assert!(
+                    fast.data.len() == naive.data.len()
+                        && fast
+                            .data
+                            .iter()
+                            .zip(&naive.data)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{} render diverged from the per-pixel reference ({shape}, frame {f})",
+                    tier.name()
+                );
+            }
+            let fast = time_per_call(reps, || {
+                for f in 0..frames {
+                    black_box(r.render_region_on(tier, f, rx, ry, rw, rh, out_w, out_h));
+                }
+            }) / frames as f64;
+            RenderBench {
+                shape: shape.to_string(),
+                tier: tier.name().to_string(),
+                out_w,
+                out_h,
+                frames,
+                reps,
+                naive_us_per_render: naive * 1e6,
+                fast_us_per_render: fast * 1e6,
+                speedup_fast_over_naive: naive / fast,
+            }
+        })
+        .collect()
 }
 
 /// A detection centred at `(x, y)` with an appearance from `salt`.
@@ -968,7 +978,7 @@ fn main() {
     // ingest-proxy scoring shape) and two detector-window crops at
     // fractional native origins, resampled to 32×32 and 96×64.
     let (render_frames, render_reps) = if smoke { (2, 3) } else { (20, 20) };
-    let render = vec![
+    let render: Vec<RenderBench> = [
         bench_render(
             &warsaw,
             "warsaw-frame-0.375",
@@ -996,7 +1006,10 @@ fn main() {
             render_frames,
             render_reps * 10,
         ),
-    ];
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
 
     // Recurrent tracker: a sparse frame, a typical one and a dense one.
     // The model gets a few training steps so its biases are not zero.
@@ -1138,6 +1151,7 @@ fn main() {
         .map(|b| {
             vec![
                 b.shape.clone(),
+                b.tier.clone(),
                 format!("{}x{}", b.out_w, b.out_h),
                 format!("{:.1}", b.naive_us_per_render),
                 format!("{:.1}", b.fast_us_per_render),
@@ -1146,9 +1160,13 @@ fn main() {
         })
         .collect();
     print_table(
-        "Renderer — per-pixel reference vs block-hash path (wall clock, bit-identical)",
-        &["shape", "output", "naive us", "fast us", "speedup"],
+        "Renderer — per-pixel reference vs block-hash path per noise tier (wall clock, bit-identical)",
+        &["shape", "tier", "output", "naive us", "fast us", "speedup"],
         &rows,
+    );
+    println!(
+        "render_region dispatches to the {} noise tier on this CPU",
+        NoiseTier::detect().name()
     );
 
     let rows: Vec<Vec<String>> = tracker

@@ -807,12 +807,14 @@ mod tests {
 
     /// Two tasks ping-ponging through a shared mailbox: each parks
     /// Pending until the other's waker fires. Exercises the
-    /// IDLE->QUEUED and RUNNING->NOTIFIED wake paths.
+    /// IDLE->QUEUED and RUNNING->NOTIFIED wake paths. `turns` counts the
+    /// turns both tasks take.
     struct PingPong {
         me: usize,
         mailbox: Arc<Mutex<usize>>,
         peer_waker: Arc<Mutex<Option<TaskWaker>>>,
         rounds: usize,
+        turns: Arc<AtomicUsize>,
     }
 
     impl PollTask for PingPong {
@@ -830,6 +832,7 @@ mod tests {
                 }
                 *slot = 1 - self.me;
                 self.rounds -= 1;
+                self.turns.fetch_add(1, Ordering::SeqCst);
                 if let Some(w) = self.peer_waker.lock().unwrap().as_ref() {
                     w.wake();
                 }
@@ -842,6 +845,7 @@ mod tests {
     fn pending_tasks_wake_each_other_through_wakers() {
         for workers in [1usize, 2, 4] {
             let mailbox = Arc::new(Mutex::new(0usize));
+            let turns = Arc::new(AtomicUsize::new(0));
             let waker0 = Arc::new(Mutex::new(None));
             let waker1 = Arc::new(Mutex::new(None));
             let pool = TaskPool::new(2, None);
@@ -853,17 +857,26 @@ mod tests {
                     mailbox: Arc::clone(&mailbox),
                     peer_waker: Arc::clone(&waker1),
                     rounds: 50,
+                    turns: Arc::clone(&turns),
                 }),
                 Box::new(PingPong {
                     me: 1,
                     mailbox: Arc::clone(&mailbox),
                     peer_waker: Arc::clone(&waker0),
                     rounds: 50,
+                    turns: Arc::clone(&turns),
                 }),
             ];
             let metrics = pool.run(workers, tasks);
             assert_eq!(metrics.expired, 0);
-            assert!(metrics.polls >= 100);
+            assert_eq!(turns.load(Ordering::SeqCst), 100, "{workers} workers");
+            // On one worker the peer cannot run inside a poll, so each
+            // poll takes at most one turn. On more, the peer may flip the
+            // mailbox back between a turn and the re-check, and one poll
+            // takes several.
+            if workers == 1 {
+                assert!(metrics.polls >= 100, "{} polls", metrics.polls);
+            }
         }
     }
 

@@ -51,49 +51,58 @@ impl Cluster {
     }
 }
 
-/// Connected components (4-connectivity) of positive cells.
-fn connected_components(cells: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
-    use std::collections::{HashMap, HashSet};
-    let set: HashSet<(usize, usize)> = cells.iter().copied().collect();
-    let mut visited: HashSet<(usize, usize)> = HashSet::new();
-    let mut comps = Vec::new();
-    let mut index: HashMap<(usize, usize), ()> = HashMap::new();
-    index.extend(set.iter().map(|&c| (c, ())));
+/// The bounding clusters of the connected components (4-connectivity)
+/// of positive cells, in order of each component's first cell in
+/// `cells`. Membership and visits live in one dense state map over the
+/// cells' bounding grid.
+fn components(cells: &[(usize, usize)]) -> Vec<Cluster> {
+    const POSITIVE: u8 = 1;
+    const VISITED: u8 = 2;
+    let gw = cells.iter().map(|c| c.0 + 1).max().unwrap_or(0);
+    let gh = cells.iter().map(|c| c.1 + 1).max().unwrap_or(0);
+    let mut state = vec![0u8; gw * gh];
+    for &(x, y) in cells {
+        state[y * gw + x] = POSITIVE;
+    }
+    let mut clusters = Vec::new();
+    let mut stack = Vec::new();
     for &start in cells {
-        if visited.contains(&start) {
+        if state[start.1 * gw + start.0] == VISITED {
             continue;
         }
-        let mut comp = Vec::new();
-        let mut stack = vec![start];
-        visited.insert(start);
-        while let Some(c) = stack.pop() {
-            comp.push(c);
-            let (x, y) = c;
-            let mut push = |n: (usize, usize)| {
-                if set.contains(&n) && visited.insert(n) {
-                    stack.push(n);
+        state[start.1 * gw + start.0] = VISITED;
+        stack.push(start);
+        let mut cluster = Cluster::of_cell(start);
+        while let Some((x, y)) = stack.pop() {
+            cluster = cluster.merge(&Cluster::of_cell((x, y)));
+            let neighbours = [
+                (x + 1 < gw).then(|| (x + 1, y)),
+                (y + 1 < gh).then(|| (x, y + 1)),
+                x.checked_sub(1).map(|x| (x, y)),
+                y.checked_sub(1).map(|y| (x, y)),
+            ];
+            for (nx, ny) in neighbours.into_iter().flatten() {
+                let s = &mut state[ny * gw + nx];
+                if *s == POSITIVE {
+                    *s = VISITED;
+                    stack.push((nx, ny));
                 }
-            };
-            push((x + 1, y));
-            push((x, y + 1));
-            if x > 0 {
-                push((x - 1, y));
-            }
-            if y > 0 {
-                push((x, y - 1));
             }
         }
-        comps.push(comp);
+        clusters.push(cluster);
     }
-    comps
+    clusters
 }
 
+/// How one cluster is covered: the cost of its tiles, the window size
+/// and the tile counts along x and y.
+type Tiling = (f64, (f32, f32), usize, usize);
+
 /// Cost of covering one cluster with tiles of the cheapest suitable window
-/// size from `ws`, and the chosen size. Returns `(cost, size, tiles_x,
-/// tiles_y)`.
-fn cluster_cost(cluster: &Cluster, ws: &WindowSet) -> (f64, (f32, f32), usize, usize) {
+/// size from `ws`, and the chosen size.
+fn cluster_cost(cluster: &Cluster, ws: &WindowSet) -> Tiling {
     let (need_w, need_h) = cluster.px_size();
-    let mut best: Option<(f64, (f32, f32), usize, usize)> = None;
+    let mut best: Option<Tiling> = None;
     for &(w, h) in &ws.sizes {
         let tx = (need_w / w).ceil().max(1.0) as usize;
         let ty = (need_h / h).ceil().max(1.0) as usize;
@@ -116,48 +125,44 @@ pub fn group_cells(cells: &[(usize, usize)], ws: &WindowSet) -> Vec<Rect> {
     if cells.is_empty() {
         return Vec::new();
     }
-    // 1. connected components → initial clusters
-    let mut clusters: Vec<Cluster> = connected_components(cells)
-        .into_iter()
-        .map(|comp| {
-            comp.into_iter()
-                .map(Cluster::of_cell)
-                .reduce(|a, b| a.merge(&b))
-                .unwrap()
-        })
-        .collect();
+    // 1. connected components → initial clusters, each with its tiling
+    let mut clusters = components(cells);
+    let mut tilings: Vec<Tiling> = clusters.iter().map(|c| cluster_cost(c, ws)).collect();
 
     // 2. greedy agglomerative merging while est(R) decreases
     loop {
-        let mut best: Option<(usize, usize, f64)> = None; // (i, j, gain)
+        let mut best: Option<(usize, usize, f64, Tiling)> = None; // (i, j, gain, merged)
         for i in 0..clusters.len() {
-            let (ci, ..) = cluster_cost(&clusters[i], ws);
             for j in (i + 1)..clusters.len() {
-                let (cj, ..) = cluster_cost(&clusters[j], ws);
-                let merged = clusters[i].merge(&clusters[j]);
-                let (cm, ..) = cluster_cost(&merged, ws);
-                let gain = ci + cj - cm;
-                if gain > 1e-12 && best.map(|(_, _, g)| gain > g).unwrap_or(true) {
-                    best = Some((i, j, gain));
+                let merged = cluster_cost(&clusters[i].merge(&clusters[j]), ws);
+                let gain = tilings[i].0 + tilings[j].0 - merged.0;
+                if gain > 1e-12 && best.map(|(_, _, g, _)| gain > g).unwrap_or(true) {
+                    best = Some((i, j, gain, merged));
                 }
             }
         }
         match best {
-            Some((i, j, _)) => {
+            Some((i, j, _, merged)) => {
                 let cj = clusters.swap_remove(j);
-                let merged = clusters[i].merge(&cj);
-                clusters[i] = merged;
+                tilings.swap_remove(j);
+                clusters[i] = clusters[i].merge(&cj);
+                tilings[i] = merged;
             }
             None => break,
         }
     }
 
     // 3. emit tiled windows per cluster, clamped inside the frame
+    emit_windows(&clusters, &tilings, ws)
+}
+
+/// Tile each cluster with its window size (final tiles shifted back
+/// inside the frame), or one full-frame window when that is no dearer.
+fn emit_windows(clusters: &[Cluster], tilings: &[Tiling], ws: &WindowSet) -> Vec<Rect> {
     let frame = Rect::new(0.0, 0.0, ws.frame_w, ws.frame_h);
     let mut rects = Vec::new();
     let mut total_cost = 0.0;
-    for c in &clusters {
-        let (cost, (w, h), tx, ty) = cluster_cost(c, ws);
+    for (c, &(cost, (w, h), tx, ty)) in clusters.iter().zip(tilings) {
         total_cost += cost;
         let x0 = (c.cx0 * 32) as f32;
         let y0 = (c.cy0 * 32) as f32;
@@ -184,6 +189,86 @@ pub fn group_cells(cells: &[(usize, usize)], ws: &WindowSet) -> Vec<Rect> {
 mod tests {
     use super::*;
     use crate::windows::WindowSet;
+    use proptest::prelude::*;
+
+    /// Connected components (4-connectivity) of positive cells: the
+    /// hash-set search [`components`] replaced, kept as its oracle.
+    fn connected_components(cells: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+        use std::collections::HashSet;
+        let set: HashSet<(usize, usize)> = cells.iter().copied().collect();
+        let mut visited: HashSet<(usize, usize)> = HashSet::new();
+        let mut comps = Vec::new();
+        for &start in cells {
+            if visited.contains(&start) {
+                continue;
+            }
+            let mut comp = Vec::new();
+            let mut stack = vec![start];
+            visited.insert(start);
+            while let Some(c) = stack.pop() {
+                comp.push(c);
+                let (x, y) = c;
+                let mut push = |n: (usize, usize)| {
+                    if set.contains(&n) && visited.insert(n) {
+                        stack.push(n);
+                    }
+                };
+                push((x + 1, y));
+                push((x, y + 1));
+                if x > 0 {
+                    push((x - 1, y));
+                }
+                if y > 0 {
+                    push((x, y - 1));
+                }
+            }
+            comps.push(comp);
+        }
+        comps
+    }
+
+    /// [`group_cells`] as it was before each cluster kept its tiling:
+    /// every round recomputes both clusters' costs for every pair. The
+    /// oracle the incremental loop is tested against.
+    fn group_cells_reference(cells: &[(usize, usize)], ws: &WindowSet) -> Vec<Rect> {
+        if cells.is_empty() {
+            return Vec::new();
+        }
+        let mut clusters: Vec<Cluster> = connected_components(cells)
+            .into_iter()
+            .map(|comp| {
+                comp.into_iter()
+                    .map(Cluster::of_cell)
+                    .reduce(|a, b| a.merge(&b))
+                    .unwrap()
+            })
+            .collect();
+        loop {
+            let mut best: Option<(usize, usize, f64)> = None; // (i, j, gain)
+            for i in 0..clusters.len() {
+                let (ci, ..) = cluster_cost(&clusters[i], ws);
+                for j in (i + 1)..clusters.len() {
+                    let (cj, ..) = cluster_cost(&clusters[j], ws);
+                    let merged = clusters[i].merge(&clusters[j]);
+                    let (cm, ..) = cluster_cost(&merged, ws);
+                    let gain = ci + cj - cm;
+                    if gain > 1e-12 && best.map(|(_, _, g)| gain > g).unwrap_or(true) {
+                        best = Some((i, j, gain));
+                    }
+                }
+            }
+            match best {
+                Some((i, j, _)) => {
+                    let cj = clusters.swap_remove(j);
+                    let merged = clusters[i].merge(&cj);
+                    clusters[i] = merged;
+                }
+                None => break,
+            }
+        }
+        let tilings: Vec<Tiling> = clusters.iter().map(|c| cluster_cost(c, ws)).collect();
+        emit_windows(&clusters, &tilings, ws)
+    }
 
     /// A window set over a 384×224 frame with sizes full, 128×96, 64×64.
     fn ws() -> WindowSet {
@@ -285,9 +370,47 @@ mod tests {
 
     #[test]
     fn connected_components_diagonals_are_separate() {
-        let comps = connected_components(&[(0, 0), (1, 1)]);
+        let comps = components(&[(0, 0), (1, 1)]);
         assert_eq!(comps.len(), 2, "4-connectivity: diagonal cells separate");
-        let comps = connected_components(&[(0, 0), (1, 0), (1, 1)]);
+        let comps = components(&[(0, 0), (1, 0), (1, 1)]);
         assert_eq!(comps.len(), 1);
+    }
+
+    /// A window set over Warsaw's 640×384 frame with four sizes, so
+    /// merges trade off between them.
+    fn warsaw_ws() -> WindowSet {
+        WindowSet::new(
+            640.0,
+            384.0,
+            vec![(640.0, 384.0), (256.0, 192.0), (128.0, 96.0), (64.0, 64.0)],
+            6.2e-8,
+            8.0e-4,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn group_cells_matches_reference(
+            cells in proptest::collection::vec((0usize..20, 0usize..12), 0..60),
+            row_major in 0usize..2,
+        ) {
+            // duplicates in any order, or the proxy's deduped row-major
+            // lists
+            let mut cells = cells;
+            if row_major == 1 {
+                cells.sort_unstable_by_key(|&(x, y)| (y, x));
+                cells.dedup();
+            }
+            for ws in [ws(), warsaw_ws()] {
+                let fast = group_cells(&cells, &ws);
+                let reference = group_cells_reference(&cells, &ws);
+                prop_assert_eq!(&fast, &reference, "cells {:?}", cells);
+            }
+            let clusters: Vec<Cluster> = connected_components(&cells)
+                .into_iter()
+                .map(|comp| comp.into_iter().map(Cluster::of_cell).reduce(|a, b| a.merge(&b)).unwrap())
+                .collect();
+            prop_assert_eq!(components(&cells), clusters);
+        }
     }
 }

@@ -35,5 +35,5 @@ pub mod scene;
 pub use clip::{Clip, FrameState, GtTrack, ObjState};
 pub use dataset::{Dataset, DatasetConfig, DatasetKind, DatasetScale};
 pub use path::{PathSpec, ScaleProfile, StopZone};
-pub use render::{GrayImage, Renderer};
+pub use render::{GrayImage, NoiseTier, Renderer};
 pub use scene::{CameraMotion, ObjectClass, SceneSpec};

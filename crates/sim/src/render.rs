@@ -109,6 +109,264 @@ fn block_of(n: f32) -> u64 {
     (n / 8.0).floor() as i64 as u64
 }
 
+/// The noise hash's input at pixel `(0, y)` of a frame whose
+/// `c·K3` term is `frame_term`; pixel `x` of the row adds `x·K1`.
+#[inline]
+fn row_z(y: usize, frame_term: u64) -> u64 {
+    (y as u64).wrapping_mul(K2).wrapping_add(frame_term)
+}
+
+/// A sensor-noise kernel. [`Renderer::render_region`] runs the fastest
+/// one this CPU supports ([`NoiseTier::detect`]); every tier stays
+/// callable through [`Renderer::render_region_on`], so tests and the
+/// `kernels` bench compare each against [`Renderer::render_region_naive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoiseTier {
+    /// Eight 64-bit lanes on AVX-512 F, DQ and VL: `vpmullq` multiplies,
+    /// `vcvtqq2ps` converts, a masked load and store take the row's tail.
+    Avx512,
+    /// Four 64-bit lanes on AVX2, each multiply built from three
+    /// `vpmuludq`; the row's tail runs on the scalar kernel.
+    Avx2,
+    /// One pixel at a time; runs on every CPU.
+    Scalar,
+}
+
+impl NoiseTier {
+    /// Every tier, fastest first.
+    pub const ALL: [NoiseTier; 3] = [NoiseTier::Avx512, NoiseTier::Avx2, NoiseTier::Scalar];
+
+    /// Whether this CPU runs `self` (std caches the CPUID probe).
+    pub fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                NoiseTier::Avx512 => has!("avx512f") && has!("avx512dq") && has!("avx512vl"),
+                NoiseTier::Avx2 => has!("avx2"),
+                NoiseTier::Scalar => true,
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == NoiseTier::Scalar
+        }
+    }
+
+    /// The fastest tier this CPU runs: the one `render_region` uses.
+    pub fn detect() -> NoiseTier {
+        NoiseTier::ALL
+            .into_iter()
+            .find(|t| t.supported())
+            .unwrap_or(NoiseTier::Scalar)
+    }
+
+    /// Short lowercase name, for bench tables and test notes.
+    pub fn name(self) -> &'static str {
+        match self {
+            NoiseTier::Avx512 => "avx512",
+            NoiseTier::Avx2 => "avx2",
+            NoiseTier::Scalar => "scalar",
+        }
+    }
+}
+
+/// Add sensor noise to the `w`-pixel rows of `data` on `tier`: pixel
+/// `(x, y)` becomes `(p + two_amp·n).clamp(0, 1)` with
+/// `n = mix01(x·K1 + row_z(y)) - 0.5`.
+///
+/// # Panics
+/// If this CPU does not run `tier`.
+fn add_noise(tier: NoiseTier, data: &mut [f32], w: usize, frame_term: u64, two_amp: f32) {
+    assert!(
+        tier.supported(),
+        "this CPU does not run the {} noise tier",
+        tier.name()
+    );
+    match tier {
+        // SAFETY: the assert above checked the tier's CPU features.
+        #[cfg(target_arch = "x86_64")]
+        NoiseTier::Avx512 => unsafe { x86::noise_avx512(data, w, frame_term, two_amp) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        NoiseTier::Avx2 => unsafe { x86::noise_avx2(data, w, frame_term, two_amp) },
+        _ => {
+            for (y, row) in data.chunks_exact_mut(w.max(1)).enumerate() {
+                noise_row_scalar(row, row_z(y, frame_term), two_amp);
+            }
+        }
+    }
+}
+
+/// The scalar noise kernel on one row whose first pixel hashes `z`.
+#[inline]
+fn noise_row_scalar(row: &mut [f32], mut z: u64, two_amp: f32) {
+    for p in row {
+        let n = mix01(z) - 0.5;
+        *p = (*p + two_amp * n).clamp(0.0, 1.0);
+        z = z.wrapping_add(K1);
+    }
+}
+
+/// The vector noise kernels. Both hash eight pixels per step and finish
+/// them with the scalar kernel's `f32` operations in the same order, so
+/// every lane reproduces [`noise_row_scalar`] bit for bit:
+///
+/// - wrapping `u64` arithmetic is exact in any lane, and the
+///   finalizer's last xor-shift is skipped because it cannot reach the
+///   bits kept: `(z ^ (z >> 31)) >> 40 == z >> 40`;
+/// - `z >> 40` is below 2^24, so it converts to `f32` exactly, and the
+///   2^-24 scale (the scalar division) is exact;
+/// - `p + two_amp·n` stays a separate multiply and add, never an FMA;
+/// - the clamp is `min(1, max(0, v))` with the constant as the first
+///   operand: `maxps`/`minps` return their second operand unless the
+///   first compares strictly greater (less), so `-0.0` and NaN pass
+///   through as under `f32::clamp`.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{noise_row_scalar, row_z, K1, K2, K3};
+    use std::arch::x86_64::*;
+
+    /// `K1·i` for `i = 0..8`: the hash offsets of a step's pixels.
+    const LANES: [u64; 8] = {
+        let mut l = [0u64; 8];
+        let mut i = 0;
+        while i < 8 {
+            l[i] = K1.wrapping_mul(i as u64);
+            i += 1;
+        }
+        l
+    };
+
+    /// Noise on eight pixels `p` whose hashes are `u` in `[0, 1)`.
+    ///
+    /// # Safety
+    /// The CPU supports AVX.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn finish(p: __m256, u: __m256, two_amp: __m256) -> __m256 {
+        let n = _mm256_sub_ps(u, _mm256_set1_ps(0.5));
+        let v = _mm256_add_ps(p, _mm256_mul_ps(two_amp, n));
+        _mm256_min_ps(_mm256_set1_ps(1.0), _mm256_max_ps(_mm256_setzero_ps(), v))
+    }
+
+    /// `mix01` for eight lanes.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512 F and DQ.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn mix8(z: __m512i) -> __m256 {
+        let k2 = _mm512_set1_epi64(K2 as i64);
+        let k3 = _mm512_set1_epi64(K3 as i64);
+        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<30>(z)), k2);
+        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), k3);
+        let u = _mm512_cvtepi64_ps(_mm512_srli_epi64::<40>(z));
+        _mm256_mul_ps(u, _mm256_set1_ps(1.0 / (1u64 << 24) as f32))
+    }
+
+    /// The AVX-512 tier of `add_noise`.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512 F, DQ and VL.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub(super) unsafe fn noise_avx512(data: &mut [f32], w: usize, frame_term: u64, two_amp: f32) {
+        // `LANES` is 64 bytes: one unaligned vector
+        let lanes = _mm512_loadu_si512(LANES.as_ptr().cast());
+        let step = _mm512_set1_epi64(K1.wrapping_mul(8) as i64);
+        let two_amp = _mm256_set1_ps(two_amp);
+        for (y, row) in data.chunks_exact_mut(w.max(1)).enumerate() {
+            let mut z = _mm512_add_epi64(_mm512_set1_epi64(row_z(y, frame_term) as i64), lanes);
+            let mut px = row.chunks_exact_mut(8);
+            for p in &mut px {
+                // `p` holds eight pixels: one unaligned vector
+                let v = finish(_mm256_loadu_ps(p.as_ptr()), mix8(z), two_amp);
+                _mm256_storeu_ps(p.as_mut_ptr(), v);
+                z = _mm512_add_epi64(z, step);
+            }
+            let rest = px.into_remainder();
+            if !rest.is_empty() {
+                // lanes from `rest.len()` on are masked off: never read
+                // (they load 0.0) and never stored
+                let m = (1u8 << rest.len()) - 1;
+                let p = _mm256_maskz_loadu_ps(m, rest.as_ptr());
+                _mm256_mask_storeu_ps(rest.as_mut_ptr(), m, finish(p, mix8(z), two_amp));
+            }
+        }
+    }
+
+    /// Wrapping `a·k` in each 64-bit lane, from three 32×32→64-bit
+    /// multiplies: `lo·lo + ((hi(a)·lo(k) + lo(a)·hi(k)) << 32)`.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mul64(a: __m256i, k: u64) -> __m256i {
+        let k_lo = _mm256_set1_epi64x(k as u32 as i64);
+        let k_hi = _mm256_set1_epi64x((k >> 32) as i64);
+        let lo = _mm256_mul_epu32(a, k_lo);
+        let cross = _mm256_add_epi64(
+            _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), k_lo),
+            _mm256_mul_epu32(a, k_hi),
+        );
+        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
+    }
+
+    /// `mix01`'s two multiply rounds for four lanes: bits 40..64 of the
+    /// result are `mix01`'s `z >> 40`.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn mix4(z: __m256i) -> __m256i {
+        let z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)), K2);
+        mul64(_mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)), K3)
+    }
+
+    /// The AVX2 tier of `add_noise`: each eight-pixel step hashes the
+    /// even pixels in one vector and the odd ones in another. Shifting
+    /// the even lanes' 24 bits right by 40 puts them in the low dword of
+    /// each lane, the odd lanes' right by 8 in the high dword, so one
+    /// blend puts all eight in pixel order.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn noise_avx2(data: &mut [f32], w: usize, frame_term: u64, two_amp: f32) {
+        let [l0, l1, l2, l3, l4, l5, l6, l7] = LANES.map(|l| l as i64);
+        let (even, odd) = (
+            _mm256_setr_epi64x(l0, l2, l4, l6),
+            _mm256_setr_epi64x(l1, l3, l5, l7),
+        );
+        let step = _mm256_set1_epi64x(K1.wrapping_mul(8) as i64);
+        let scale = _mm256_set1_ps(1.0 / (1u64 << 24) as f32);
+        let two_amp_v = _mm256_set1_ps(two_amp);
+        for (y, row) in data.chunks_exact_mut(w.max(1)).enumerate() {
+            let z0 = row_z(y, frame_term);
+            let base = _mm256_set1_epi64x(z0 as i64);
+            let (mut ze, mut zo) = (_mm256_add_epi64(base, even), _mm256_add_epi64(base, odd));
+            let mut px = row.chunks_exact_mut(8);
+            for p in &mut px {
+                let q = _mm256_blend_epi32::<0b1010_1010>(
+                    _mm256_srli_epi64::<40>(mix4(ze)),
+                    _mm256_srli_epi64::<8>(mix4(zo)),
+                );
+                let u = _mm256_mul_ps(_mm256_cvtepi32_ps(q), scale);
+                // `p` holds eight pixels: one unaligned vector
+                let v = finish(_mm256_loadu_ps(p.as_ptr()), u, two_amp_v);
+                _mm256_storeu_ps(p.as_mut_ptr(), v);
+                ze = _mm256_add_epi64(ze, step);
+                zo = _mm256_add_epi64(zo, step);
+            }
+            let rest = px.into_remainder();
+            let done = w - rest.len();
+            noise_row_scalar(rest, z0.wrapping_add(K1.wrapping_mul(done as u64)), two_amp);
+        }
+    }
+}
+
 /// Renders frames of a [`Clip`].
 pub struct Renderer<'a> {
     clip: &'a Clip,
@@ -144,15 +402,36 @@ impl<'a> Renderer<'a> {
     /// noise (shifted by camera motion so drone footage "moves"). Objects:
     /// filled boxes with per-object tone and a two-band texture (roof vs
     /// body) so appearance features carry signal. Then per-frame sensor
-    /// noise. Deterministic per `(frame, region, resolution)`.
-    ///
-    /// Bit-identical to [`Self::render_region_naive`]: each block hash is
-    /// computed once per run of output pixels sharing a block, and the
-    /// per-row and per-column terms are hoisted, but every pixel sees the
-    /// same `f32` operations in the same order.
+    /// noise, on the fastest [`NoiseTier`] this CPU runs. Deterministic
+    /// per `(frame, region, resolution)`.
     #[allow(clippy::too_many_arguments)]
     pub fn render_region(
         &self,
+        frame: usize,
+        rx: f32,
+        ry: f32,
+        rw: f32,
+        rh: f32,
+        w: usize,
+        h: usize,
+    ) -> GrayImage {
+        self.render_region_on(NoiseTier::detect(), frame, rx, ry, rw, rh, w, h)
+    }
+
+    /// [`Self::render_region`] with its sensor noise on `tier`.
+    ///
+    /// Bit-identical to [`Self::render_region_naive`] on every tier:
+    /// each block hash is computed once per run of output columns
+    /// sharing a block and once per block row, the per-row and
+    /// per-column terms are hoisted, and the noise tiers keep the
+    /// per-pixel `f32` operations and their order (see `x86`).
+    ///
+    /// # Panics
+    /// If the scene has sensor noise and this CPU does not run `tier`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn render_region_on(
+        &self,
+        tier: NoiseTier,
         frame: usize,
         rx: f32,
         ry: f32,
@@ -166,48 +445,44 @@ impl<'a> Renderer<'a> {
         let sy = rh / h as f32;
         let bg_seed = self.bg_seed();
         let cam = self.clip.frames[frame].cam_offset;
-        let mut img = GrayImage::new(w, h);
 
-        let block_cols: Vec<u64> = (0..w)
-            .map(|x| block_of(rx + x as f32 * sx + cam.0))
-            .collect();
+        // Runs of output columns in one block column: `(block, length)`,
+        // the same for every row.
+        let mut runs: Vec<(u64, usize)> = Vec::new();
+        for x in 0..w {
+            let bx = block_of(rx + x as f32 * sx + cam.0);
+            match runs.last_mut() {
+                Some((b, len)) if *b == bx => *len += 1,
+                _ => runs.push((bx, 1)),
+            }
+        }
         let seed_term = bg_seed.wrapping_mul(K3);
         let mut blocks = vec![0.0f32; w];
         let mut cached_block_row = None;
-        for (y, row) in img.data.chunks_exact_mut(w.max(1)).enumerate() {
+        // every pixel is written once here, so the image is never zeroed
+        let mut data = Vec::with_capacity(w * h);
+        for y in 0..h {
             let ny = ry + y as f32 * sy + cam.1;
             let by = block_of(ny);
             if cached_block_row != Some(by) {
                 let row_term = by.wrapping_mul(K2).wrapping_add(seed_term);
-                let mut last = None;
-                for (b, &bx) in blocks.iter_mut().zip(&block_cols) {
-                    *b = match last {
-                        Some((lx, v)) if lx == bx => v,
-                        _ => mix01(bx.wrapping_mul(K1).wrapping_add(row_term)),
-                    };
-                    last = Some((bx, *b));
+                let mut x = 0;
+                for &(bx, len) in &runs {
+                    blocks[x..x + len].fill(mix01(bx.wrapping_mul(K1).wrapping_add(row_term)));
+                    x += len;
                 }
                 cached_block_row = Some(by);
             }
             let base = scene.background_level + 0.10 * (ny / scene.height as f32);
-            for (p, &b) in row.iter_mut().zip(&blocks) {
-                *p = base + 0.08 * b;
-            }
+            data.extend(blocks.iter().map(|&b| base + 0.08 * b));
         }
+        let mut img = GrayImage { w, h, data };
 
         self.paint_objects(&mut img, frame, rx, ry, sx, sy);
 
         if scene.noise_sigma > 0.0 {
-            let amp = scene.noise_sigma;
             let frame_term = (frame as u64 ^ (bg_seed << 1)).wrapping_mul(K3);
-            for (y, row) in img.data.chunks_exact_mut(w.max(1)).enumerate() {
-                let mut z = (y as u64).wrapping_mul(K2).wrapping_add(frame_term);
-                for p in row {
-                    let n = mix01(z) - 0.5;
-                    *p = (*p + 2.0 * amp * n).clamp(0.0, 1.0);
-                    z = z.wrapping_add(K1);
-                }
-            }
+            add_noise(tier, &mut img.data, w, frame_term, 2.0 * scene.noise_sigma);
         }
         img
     }
@@ -297,7 +572,9 @@ mod tests {
     use crate::path::{PathSpec, ScaleProfile};
     use crate::scene::{CameraMotion, SceneSpec};
     use proptest::prelude::*;
-    use std::sync::{Arc, OnceLock};
+    use proptest::test_runner::TestCaseError;
+    use std::io::Write;
+    use std::sync::{Arc, Once, OnceLock};
 
     fn clip() -> Clip {
         clip_with(CameraMotion::Fixed, 0.0)
@@ -428,52 +705,167 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
-    /// A fixed-camera and a drifting-camera clip, both with sensor noise.
-    fn noisy_clips() -> &'static [Clip; 2] {
-        static CLIPS: OnceLock<[Clip; 2]> = OnceLock::new();
+    /// Fixed- and drifting-camera clips at noise sigmas 0, 0.03 and
+    /// 0.05; drift moves the origin below zero, so block indices go
+    /// negative.
+    fn noisy_clips() -> &'static [Clip] {
+        static CLIPS: OnceLock<Vec<Clip>> = OnceLock::new();
         CLIPS.get_or_init(|| {
             let drift = CameraMotion::Drift {
                 amp_x: 13.3,
                 amp_y: 7.1,
                 period_s: 4.0,
             };
-            [clip_with(CameraMotion::Fixed, 0.03), clip_with(drift, 0.03)]
+            [0.0, 0.03, 0.05]
+                .into_iter()
+                .flat_map(|sigma| {
+                    [
+                        clip_with(CameraMotion::Fixed, sigma),
+                        clip_with(drift, sigma),
+                    ]
+                })
+                .collect()
         })
+    }
+
+    /// Whether this CPU runs `tier`. If not, says so once per tier on
+    /// the process's stderr (the harness hides `eprintln!` of passing
+    /// tests), so a host without a vector tier does not pass silently.
+    fn host_runs(tier: NoiseTier) -> bool {
+        static NOTED: [Once; 3] = [const { Once::new() }; 3];
+        let runs = tier.supported();
+        if !runs {
+            NOTED[tier as usize].call_once(|| {
+                let note = format!(
+                    "note: this CPU lacks the {} noise tier; not tested\n",
+                    tier.name()
+                );
+                let _ = std::io::stderr().write_all(note.as_bytes());
+            });
+        }
+        runs
+    }
+
+    /// One random window of one random clip and frame on `tier`, and the
+    /// full frame at the same output size, against the per-pixel oracle.
+    fn tier_matches_naive(
+        tier: NoiseTier,
+        scene: (usize, usize),
+        origin: (f32, f32),
+        extent: (f32, f32),
+        out: (usize, usize),
+    ) -> Result<(), TestCaseError> {
+        let c = &noisy_clips()[scene.0];
+        let r = Renderer::new(c);
+        let f = scene.1;
+        let (rx, ry) = origin;
+        let (rw, rh) = extent;
+        let (w, h) = out;
+        let name = tier.name();
+        // arbitrary windows: fractional origins, partly outside the
+        // frame, resampled up or down
+        prop_assert!(
+            same_bits(
+                &r.render_region_on(tier, f, rx, ry, rw, rh, w, h),
+                &r.render_region_naive(f, rx, ry, rw, rh, w, h),
+            ),
+            "{name}: region ({rx}, {ry}, {rw}, {rh}) at {w}x{h}, frame {f}, scene {}",
+            scene.0
+        );
+        prop_assert!(
+            same_bits(
+                &r.render_region_on(tier, f, 0.0, 0.0, 320.0, 192.0, w, h),
+                &r.render_region_naive(f, 0.0, 0.0, 320.0, 192.0, w, h),
+            ),
+            "{name}: full frame at {w}x{h}, frame {f}, scene {}",
+            scene.0
+        );
+        Ok(())
     }
 
     proptest! {
         #[test]
-        fn fast_render_is_bit_identical_to_naive(
-            scene in (0usize..2, 0usize..60),
+        fn scalar_tier_is_bit_identical_to_naive(
+            scene in (0usize..6, 0usize..60),
             origin in (-80.0f32..360.0, -60.0f32..230.0),
             extent in (0.5f32..400.0, 0.5f32..260.0),
-            out in (1usize..129, 1usize..129),
+            out in (1usize..130, 1usize..130),
         ) {
-            let c = &noisy_clips()[scene.0];
-            let r = Renderer::new(c);
-            let f = scene.1;
-            let (rx, ry) = origin;
-            let (rw, rh) = extent;
-            let (w, h) = out;
-            // arbitrary windows: fractional origins, partly outside the
-            // frame, resampled up or down
-            prop_assert!(
-                same_bits(
-                    &r.render_region(f, rx, ry, rw, rh, w, h),
-                    &r.render_region_naive(f, rx, ry, rw, rh, w, h),
-                ),
-                "region ({rx}, {ry}, {rw}, {rh}) at {w}x{h}, frame {f}, scene {}",
-                scene.0
-            );
-            // the full frame at an arbitrary output size
-            prop_assert!(
-                same_bits(
-                    &r.render(f, w, h),
-                    &r.render_region_naive(f, 0.0, 0.0, 320.0, 192.0, w, h),
-                ),
-                "full frame at {w}x{h}, frame {f}, scene {}",
-                scene.0
-            );
+            tier_matches_naive(NoiseTier::Scalar, scene, origin, extent, out)?;
+        }
+
+        #[test]
+        fn avx2_tier_is_bit_identical_to_naive(
+            scene in (0usize..6, 0usize..60),
+            origin in (-80.0f32..360.0, -60.0f32..230.0),
+            extent in (0.5f32..400.0, 0.5f32..260.0),
+            out in (1usize..130, 1usize..130),
+        ) {
+            if host_runs(NoiseTier::Avx2) {
+                tier_matches_naive(NoiseTier::Avx2, scene, origin, extent, out)?;
+            }
+        }
+
+        #[test]
+        fn avx512_tier_is_bit_identical_to_naive(
+            scene in (0usize..6, 0usize..60),
+            origin in (-80.0f32..360.0, -60.0f32..230.0),
+            extent in (0.5f32..400.0, 0.5f32..260.0),
+            out in (1usize..130, 1usize..130),
+        ) {
+            if host_runs(NoiseTier::Avx512) {
+                tier_matches_naive(NoiseTier::Avx512, scene, origin, extent, out)?;
+            }
+        }
+    }
+
+    /// Every output width from 1 to 129 (every tail length of an
+    /// eight-pixel step, several times over) on every clip and tier.
+    #[test]
+    fn every_tier_matches_naive_at_every_width() {
+        for tier in NoiseTier::ALL.into_iter().filter(|&t| host_runs(t)) {
+            for (i, c) in noisy_clips().iter().enumerate() {
+                let r = Renderer::new(c);
+                for w in 1..=129 {
+                    let f = (w * 7) % c.num_frames();
+                    assert!(
+                        same_bits(
+                            &r.render_region_on(tier, f, -20.5, 3.25, 300.0, 20.0, w, 3),
+                            &r.render_region_naive(f, -20.5, 3.25, 300.0, 20.0, w, 3),
+                        ),
+                        "{}: width {w}, frame {f}, clip {i}",
+                        tier.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The noise kernels on edge pixels: zeros of both signs, one, and
+    /// values just outside `[0, 1]`, at a zero amplitude (so the clamp
+    /// alone decides) and a large one, against `f32::clamp` per pixel.
+    #[test]
+    fn noise_kernels_clamp_like_f32_clamp() {
+        let edge = [0.0f32, -0.0, 1.0, -1e-7, 1.000_000_1, 0.5, f32::NAN];
+        // 3 rows of 29: a full eight-pixel step and a tail on every row
+        let (w, h) = (29, 3);
+        let data: Vec<f32> = (0..w * h).map(|i| edge[i % edge.len()]).collect();
+        let c = 0x1234_5678_9abc_def0u64;
+        for two_amp in [0.0f32, 0.06, 3.0] {
+            let want: Vec<u32> = data
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| {
+                    let n = hash01((i % w) as u64, (i / w) as u64, c) - 0.5;
+                    (p + two_amp * n).clamp(0.0, 1.0).to_bits()
+                })
+                .collect();
+            for tier in NoiseTier::ALL.into_iter().filter(|&t| host_runs(t)) {
+                let mut got = data.clone();
+                add_noise(tier, &mut got, w, c.wrapping_mul(K3), two_amp);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{} at amplitude {two_amp}", tier.name());
+            }
         }
     }
 
