@@ -1,6 +1,6 @@
 //! Wall-clock micro-bench of the `otif_nn::kernels` layer: naive
-//! reference loops vs the portable GEMM kernels vs the kernels this CPU
-//! dispatches to (AVX2 where available), plus the frame renderer that
+//! reference loops vs the portable GEMM kernels vs each vector kernel
+//! tier this CPU runs (`KernelTier`: AVX-512, AVX2), plus the frame renderer that
 //! feeds them (`Renderer::render_region_on` at each sensor-noise tier
 //! this CPU runs vs the per-pixel `render_region_naive` reference).
 //!
@@ -12,12 +12,14 @@
 //! Sections:
 //!
 //! - the whole proxy forward pass, naive vs GEMM vs `Auto`;
-//! - each proxy layer's convolution, portable vs dispatched, and each
-//!   encoder layer's GEMM alone;
+//! - each proxy layer's convolution, portable vs every kernel tier, and
+//!   each encoder layer's GEMM alone, plus the recurrent tracker's GEMM
+//!   shapes;
 //! - the naive/GEMM crossover that `GEMM_MIN_MACS` is read from: the
 //!   1×1 decoder layers, the late encoder layers and small-window
 //!   layers;
-//! - batched vs looped forwards, and the renderer;
+//! - batched vs looped forwards (one looped per-window baseline, timed
+//!   interleaved with every batch size), and the renderer;
 //! - recurrent-tracker inference, looped (`TrackerModel`, one pair or
 //!   GRU step per call) vs packed (`PackedTracker`, one batch), per pair
 //!   and per step;
@@ -46,13 +48,13 @@ use otif_core::{SegProxyModel, WindowNet, PROXY_SCALES};
 use otif_cv::{Detection, DetectorArch, DetectorConfig, APPEARANCE_DIM};
 use otif_geom::{Point, Polygon, Rect};
 use otif_nn::kernels::{
-    conv2d_gemm, conv2d_gemm_portable, conv2d_naive, conv_path_for, matmul_blocked, matmul_naive,
-    matmul_portable, ConvShape,
+    conv2d_gemm_on, conv2d_gemm_portable, conv2d_naive, conv_path_for, matmul_naive, matmul_on,
+    matmul_portable, ConvShape, KernelTier,
 };
 use otif_nn::{BatchTensor3, KernelPath, Tensor3};
 use otif_query::{is_car, ClipMatches, FrameLimitQuery, FrameQueryKind, FrameRef, FrameTable};
 use otif_sim::{Clip, DatasetKind, GrayImage, NoiseTier, ObjectClass, Renderer};
-use otif_track::recurrent::HIDDEN;
+use otif_track::recurrent::{DET_FEAT_DIM, HEAD_HIDDEN, HIDDEN, PAIR_FEAT_DIM};
 use otif_track::{PairBatch, StepBatch, Track, TrackerModel};
 use serde::Serialize;
 use std::hint::black_box;
@@ -70,7 +72,16 @@ struct ProxyBench {
     speedup_gemm_over_naive: f64,
 }
 
-/// One convolution layer, naive vs portable GEMM vs dispatched GEMM.
+/// One vector kernel tier's time on a problem.
+#[derive(Serialize)]
+struct TierTime {
+    /// `KernelTier::name`.
+    tier: String,
+    us: f64,
+    speedup_over_portable: f64,
+}
+
+/// One convolution layer, naive vs portable GEMM vs each vector tier.
 #[derive(Serialize)]
 struct ConvBench {
     layer: String,
@@ -80,24 +91,28 @@ struct ConvBench {
     reps: usize,
     naive_us: f64,
     portable_us: f64,
-    dispatched_us: f64,
-    speedup_dispatched_over_portable: f64,
+    /// Every vector tier this CPU runs, fastest first.
+    tiers: Vec<TierTime>,
     /// The path `KernelPath::Auto` resolves to at this shape.
     auto_path: String,
 }
 
+/// One GEMM shape, naive vs portable vs each vector tier.
 #[derive(Serialize)]
 struct MatmulBench {
+    /// What the shape is (a proxy layer, a tracker GEMM).
+    label: String,
     m: usize,
     k: usize,
     n: usize,
     reps: usize,
     naive_us: f64,
     portable_us: f64,
-    dispatched_us: f64,
-    speedup_dispatched_over_portable: f64,
+    tiers: Vec<TierTime>,
 }
 
+/// One batch size of a batched-vs-looped sweep. The looped time is the
+/// sweep's one shared per-window baseline.
 #[derive(Serialize)]
 struct BatchedBench {
     shape: String,
@@ -194,32 +209,41 @@ fn time_per_call(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Best-of-3 timing of `reps` calls each to `a` and `b`, interleaved
-/// call by call (alternating which goes first), in seconds per call of
-/// each. Clock and cache drift over the run land on both sides alike,
-/// so their ratio is steadier than two [`time_per_call`] blocks'.
-fn time_interleaved(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let time = |f: &mut dyn FnMut()| {
-        let t = Instant::now();
-        f();
-        t.elapsed().as_secs_f64()
-    };
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+/// Best-of-3 timing of `reps` calls to each of `fs`, interleaved call by
+/// call (rotating which goes first), in seconds per call of each. Clock
+/// and cache drift over the run land on every function alike, so their
+/// ratios are steadier than separate [`time_per_call`] blocks'.
+fn time_rotating(reps: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; fs.len()];
     for _ in 0..3 {
-        let (mut sum_a, mut sum_b) = (0.0, 0.0);
+        let mut sum = vec![0.0; fs.len()];
         for rep in 0..reps {
-            if rep % 2 == 0 {
-                sum_a += time(&mut a);
-                sum_b += time(&mut b);
-            } else {
-                sum_b += time(&mut b);
-                sum_a += time(&mut a);
+            for j in 0..fs.len() {
+                let i = (rep + j) % fs.len();
+                let t = Instant::now();
+                fs[i]();
+                sum[i] += t.elapsed().as_secs_f64();
             }
         }
-        best_a = best_a.min(sum_a / reps.max(1) as f64);
-        best_b = best_b.min(sum_b / reps.max(1) as f64);
+        for (b, s) in best.iter_mut().zip(sum) {
+            *b = b.min(s / reps.max(1) as f64);
+        }
     }
-    (best_a, best_b)
+    best
+}
+
+/// [`time_rotating`] of two functions.
+fn time_interleaved(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let t = time_rotating(reps, &mut [&mut a, &mut b]);
+    (t[0], t[1])
+}
+
+/// The vector kernel tiers this CPU runs, fastest first.
+fn vector_tiers() -> Vec<KernelTier> {
+    KernelTier::ALL
+        .into_iter()
+        .filter(|t| *t != KernelTier::Portable && t.supported())
+        .collect()
 }
 
 /// Deterministic values in `[-0.5, 0.5)`.
@@ -308,8 +332,8 @@ fn proxy_arch(in_w: usize, in_h: usize) -> Vec<(String, ConvShape, usize, usize)
     layers
 }
 
-/// One convolution, bit-gated (portable vs dispatched by `to_bits`,
-/// naive under `==`), then timed on all three paths.
+/// One convolution, bit-gated (every vector tier vs portable by
+/// `to_bits`, naive under `==`), then timed on every path.
 fn bench_conv(layer: &str, shape: ConvShape, h: usize, w: usize, reps: usize) -> ConvBench {
     let x = Tensor3::from_vec(shape.in_ch, h, w, fill(shape.in_ch * h * w, 1));
     let weight = fill(shape.out_ch * shape.in_ch * shape.ksize * shape.ksize, 2);
@@ -317,27 +341,40 @@ fn bench_conv(layer: &str, shape: ConvShape, h: usize, w: usize, reps: usize) ->
     let (oh, ow) = shape.out_size(h, w);
     let mut naive = Tensor3::zeros(shape.out_ch, oh, ow);
     let mut portable = naive.clone();
-    let mut dispatched = naive.clone();
+    let mut fast = naive.clone();
     conv2d_naive(&shape, &weight, &bias, &x, &mut naive);
     conv2d_gemm_portable(&shape, &weight, &bias, &x, &mut portable);
-    conv2d_gemm(&shape, &weight, &bias, &x, &mut dispatched);
-    assert_eq!(
-        bits(&dispatched.data),
-        bits(&portable.data),
-        "dispatched conv diverged from the portable oracle at {layer} {shape:?} {w}x{h}"
-    );
     assert_eq!(
         naive.data, portable.data,
         "GEMM conv diverged from the naive reference at {layer} {shape:?} {w}x{h}"
     );
+    for tier in vector_tiers() {
+        conv2d_gemm_on(tier, &shape, &weight, &bias, &x, &mut fast);
+        assert_eq!(
+            bits(&fast.data),
+            bits(&portable.data),
+            "{} conv diverged from the portable oracle at {layer} {shape:?} {w}x{h}",
+            tier.name()
+        );
+    }
     let x = black_box(&x);
     let naive_s = time_per_call(reps, || conv2d_naive(&shape, &weight, &bias, x, &mut naive));
     let portable_s = time_per_call(reps, || {
         conv2d_gemm_portable(&shape, &weight, &bias, x, &mut portable)
     });
-    let dispatched_s = time_per_call(reps, || {
-        conv2d_gemm(&shape, &weight, &bias, x, &mut dispatched)
-    });
+    let tiers = vector_tiers()
+        .into_iter()
+        .map(|tier| {
+            let s = time_per_call(reps, || {
+                conv2d_gemm_on(tier, &shape, &weight, &bias, x, &mut fast)
+            });
+            TierTime {
+                tier: tier.name().to_string(),
+                us: s * 1e6,
+                speedup_over_portable: portable_s / s,
+            }
+        })
+        .collect();
     ConvBench {
         layer: layer.to_string(),
         in_w: w,
@@ -346,42 +383,95 @@ fn bench_conv(layer: &str, shape: ConvShape, h: usize, w: usize, reps: usize) ->
         reps,
         naive_us: naive_s * 1e6,
         portable_us: portable_s * 1e6,
-        dispatched_us: dispatched_s * 1e6,
-        speedup_dispatched_over_portable: portable_s / dispatched_s,
+        tiers,
         auto_path: format!("{:?}", conv_path_for(&shape, h, w, KernelPath::Auto)),
     }
 }
 
-fn bench_matmul(m: usize, k: usize, n: usize, reps: usize) -> MatmulBench {
+fn bench_matmul(label: &str, (m, k, n): (usize, usize, usize), reps: usize) -> MatmulBench {
     let a = fill(m * k, 3);
     let b = fill(k * n, 5);
     let mut c_naive = vec![0.0f32; m * n];
     let mut c_portable = vec![0.0f32; m * n];
-    let mut c_dispatched = vec![0.0f32; m * n];
     matmul_naive(&a, &b, &mut c_naive, m, k, n);
     matmul_portable(&a, &b, &mut c_portable, m, k, n);
-    matmul_blocked(&a, &b, &mut c_dispatched, m, k, n);
-    for (path, c) in [("portable", &c_portable), ("dispatched", &c_dispatched)] {
+    assert_eq!(
+        bits(&c_portable),
+        bits(&c_naive),
+        "portable matmul diverged from the naive reference at {m}x{k}x{n}"
+    );
+    let mut c_fast = vec![0.0f32; m * n];
+    for tier in vector_tiers() {
+        c_fast.fill(0.0);
+        matmul_on(tier, &a, &b, &mut c_fast, m, k, n);
         assert_eq!(
-            bits(c),
+            bits(&c_fast),
             bits(&c_naive),
-            "{path} matmul diverged from the naive reference at {m}x{k}x{n}"
+            "{} matmul diverged from the naive reference at {m}x{k}x{n}",
+            tier.name()
         );
     }
     let b = black_box(&b);
     let naive = time_per_call(reps, || matmul_naive(&a, b, &mut c_naive, m, k, n));
     let portable = time_per_call(reps, || matmul_portable(&a, b, &mut c_portable, m, k, n));
-    let dispatched = time_per_call(reps, || matmul_blocked(&a, b, &mut c_dispatched, m, k, n));
+    let tiers = vector_tiers()
+        .into_iter()
+        .map(|tier| {
+            let s = time_per_call(reps, || matmul_on(tier, &a, b, &mut c_fast, m, k, n));
+            TierTime {
+                tier: tier.name().to_string(),
+                us: s * 1e6,
+                speedup_over_portable: portable / s,
+            }
+        })
+        .collect();
     MatmulBench {
+        label: label.to_string(),
         m,
         k,
         n,
         reps,
         naive_us: naive * 1e6,
         portable_us: portable * 1e6,
-        dispatched_us: dispatched * 1e6,
-        speedup_dispatched_over_portable: portable / dispatched,
+        tiers,
     }
+}
+
+/// A batched-vs-looped sweep at batch sizes `batches`: `looped` runs
+/// one forward per window over `batches`' largest size, and `batched[i]`
+/// one batched forward over `batches[i]` windows. All are timed in one
+/// rotation, so every batch size is compared with the same looped
+/// per-window baseline.
+fn sweep_batches(
+    (shape, in_w, in_h): (String, usize, usize),
+    batches: &[usize],
+    reps: usize,
+    looped: &mut dyn FnMut(),
+    batched: Vec<Box<dyn FnMut() + '_>>,
+) -> Vec<BatchedBench> {
+    let windows = batches.iter().copied().max().unwrap_or(1);
+    let mut batched = batched;
+    let mut fs: Vec<&mut dyn FnMut()> = vec![looped];
+    fs.extend(batched.iter_mut().map(|f| &mut **f as &mut dyn FnMut()));
+    let times = time_rotating(reps, &mut fs);
+    let looped = times[0] / windows as f64;
+    batches
+        .iter()
+        .zip(&times[1..])
+        .map(|(&batch, t)| {
+            let batched = t / batch as f64;
+            BatchedBench {
+                shape: shape.clone(),
+                in_w,
+                in_h,
+                batch,
+                reps,
+                looped_seconds_per_window: looped,
+                batched_seconds_per_window: batched,
+                speedup_batched_over_looped: looped / batched,
+            }
+        })
+        .collect()
 }
 
 /// Batched vs looped forward of the segmentation-proxy architecture at
@@ -390,11 +480,12 @@ fn bench_matmul(m: usize, k: usize, n: usize, reps: usize) -> MatmulBench {
 fn bench_proxy_batched(
     native_w: usize,
     native_h: usize,
-    batch: usize,
+    batches: &[usize],
     reps: usize,
-) -> BatchedBench {
+) -> Vec<BatchedBench> {
     let model = SegProxyModel::new(native_w, native_h, 1.0, 42);
-    let imgs: Vec<GrayImage> = (0..batch)
+    let windows = batches.iter().copied().max().unwrap_or(1);
+    let imgs: Vec<GrayImage> = (0..windows)
         .map(|i| {
             let mut img = GrayImage::new(model.in_w, model.in_h);
             for (j, v) in img.data.iter_mut().enumerate() {
@@ -407,46 +498,53 @@ fn bench_proxy_batched(
 
     // Correctness gate: every batched item must equal its looped twin
     // bitwise before any timing happens.
-    let mut batched_out = BatchTensor3::zeros(0, 0, 0, 0);
-    model.infer_logits_batched_into(&refs, KernelPath::Auto, &mut batched_out);
+    let mut outs: Vec<BatchTensor3> = batches
+        .iter()
+        .map(|_| BatchTensor3::zeros(0, 0, 0, 0))
+        .collect();
     let mut item = Tensor3::zeros(0, 0, 0);
     let mut looped_out = Tensor3::zeros(0, 0, 0);
-    for (i, img) in imgs.iter().enumerate() {
-        model.infer_logits_into(img, KernelPath::Auto, &mut looped_out);
-        batched_out.item_into(i, &mut item);
-        assert_eq!(
-            looped_out, item,
-            "batched proxy forward diverged from looped at item {i} (batch {batch})"
-        );
+    for (&batch, out) in batches.iter().zip(&mut outs) {
+        model.infer_logits_batched_into(&refs[..batch], KernelPath::Auto, out);
+        for (i, img) in imgs[..batch].iter().enumerate() {
+            model.infer_logits_into(img, KernelPath::Auto, &mut looped_out);
+            out.item_into(i, &mut item);
+            assert_eq!(
+                looped_out, item,
+                "batched proxy forward diverged from looped at item {i} (batch {batch})"
+            );
+        }
     }
 
-    let (looped, batched) = time_interleaved(
-        reps,
-        || {
-            for img in &imgs {
-                model.infer_logits_into(img, KernelPath::Auto, &mut looped_out);
-            }
-        },
-        || model.infer_logits_batched_into(&refs, KernelPath::Auto, &mut batched_out),
-    );
-    BatchedBench {
-        shape: "proxy-window".to_string(),
-        in_w: model.in_w,
-        in_h: model.in_h,
-        batch,
-        reps,
-        looped_seconds_per_window: looped / batch as f64,
-        batched_seconds_per_window: batched / batch as f64,
-        speedup_batched_over_looped: looped / batched,
-    }
+    let mut looped = || {
+        for img in &imgs {
+            model.infer_logits_into(img, KernelPath::Auto, &mut looped_out);
+        }
+    };
+    let batched = batches
+        .iter()
+        .zip(&mut outs)
+        .map(|(&batch, out)| {
+            let (model, refs) = (&model, &refs);
+            Box::new(move || model.infer_logits_batched_into(&refs[..batch], KernelPath::Auto, out))
+                as Box<dyn FnMut()>
+        })
+        .collect();
+    let shape = ("proxy-window".to_string(), model.in_w, model.in_h);
+    sweep_batches(shape, batches, reps, &mut looped, batched)
 }
 
 /// Batched vs looped forward of the detector surrogate (`WindowNet`) at
 /// the input shape a YOLO window of the given rounded size produces.
-fn bench_windownet_batched(window: (u32, u32), batch: usize, reps: usize) -> BatchedBench {
+fn bench_windownet_batched(
+    window: (u32, u32),
+    batches: &[usize],
+    reps: usize,
+) -> Vec<BatchedBench> {
     let net = WindowNet::new(&DetectorConfig::new(DetectorArch::YoloV3, 0.5), 42);
     let (iw, ih) = net.input_dims(window);
-    let xs: Vec<Tensor3> = (0..batch)
+    let windows = batches.iter().copied().max().unwrap_or(1);
+    let xs: Vec<Tensor3> = (0..windows)
         .map(|i| {
             let mut t = Tensor3::zeros(1, ih, iw);
             for (j, v) in t.data.iter_mut().enumerate() {
@@ -457,37 +555,34 @@ fn bench_windownet_batched(window: (u32, u32), batch: usize, reps: usize) -> Bat
         .collect();
     let refs: Vec<&Tensor3> = xs.iter().collect();
 
-    let outs = net.forward_batched(&refs);
     let mut y = Tensor3::zeros(0, 0, 0);
-    for (i, x) in xs.iter().enumerate() {
-        net.forward_into(x, &mut y);
-        assert_eq!(
-            y, outs[i],
-            "batched WindowNet forward diverged from looped at item {i} (batch {batch})"
-        );
+    for &batch in batches {
+        let outs = net.forward_batched(&refs[..batch]);
+        for (i, x) in xs[..batch].iter().enumerate() {
+            net.forward_into(x, &mut y);
+            assert_eq!(
+                y, outs[i],
+                "batched WindowNet forward diverged from looped at item {i} (batch {batch})"
+            );
+        }
     }
 
-    let (looped, batched) = time_interleaved(
-        reps,
-        || {
-            for x in &xs {
-                net.forward_into(x, &mut y);
-            }
-        },
-        || {
-            let _ = net.forward_batched(&refs);
-        },
-    );
-    BatchedBench {
-        shape: format!("yolo-window-{}x{}", window.0, window.1),
-        in_w: iw,
-        in_h: ih,
-        batch,
-        reps,
-        looped_seconds_per_window: looped / batch as f64,
-        batched_seconds_per_window: batched / batch as f64,
-        speedup_batched_over_looped: looped / batched,
-    }
+    let mut looped = || {
+        for x in &xs {
+            net.forward_into(x, &mut y);
+        }
+    };
+    let batched = batches
+        .iter()
+        .map(|&batch| {
+            let (net, refs) = (&net, &refs);
+            Box::new(move || {
+                black_box(net.forward_batched(&refs[..batch]));
+            }) as Box<dyn FnMut()>
+        })
+        .collect();
+    let shape = (format!("yolo-window-{}x{}", window.0, window.1), iw, ih);
+    sweep_batches(shape, batches, reps, &mut looped, batched)
 }
 
 /// Fast vs per-pixel rendering of one native region of a Warsaw clip
@@ -899,20 +994,37 @@ fn main() {
         .iter()
         .map(|(name, shape, h, w)| bench_conv(name, *shape, *h, *w, reps))
         .collect();
-    // Each encoder layer's GEMM alone, `out_ch × in_ch·9 × oh·ow`, plus
-    // a larger square for headroom.
-    let mut matmul_shapes: Vec<(usize, usize, usize)> = layers
+    // Each encoder layer's GEMM alone, `out_ch × in_ch·9 × oh·ow`, a
+    // larger square for headroom, and the packed tracker's four GEMMs
+    // (`PackedTracker`: pair scoring, the two GRU gates, the head
+    // prefix) on a typical frame's 16 pairs or tracks.
+    let mut matmul_shapes: Vec<(String, (usize, usize, usize))> = layers
         .iter()
         .filter(|(_, shape, ..)| shape.ksize == 3)
-        .map(|(_, shape, h, w)| {
+        .map(|(name, shape, h, w)| {
             let (oh, ow) = shape.out_size(*h, *w);
-            (shape.out_ch, shape.in_ch * 9, oh * ow)
+            (name.clone(), (shape.out_ch, shape.in_ch * 9, oh * ow))
         })
         .collect();
-    matmul_shapes.push(if smoke { (16, 64, 128) } else { (64, 64, 4096) });
+    matmul_shapes.push((
+        "square".into(),
+        if smoke { (16, 64, 128) } else { (64, 64, 4096) },
+    ));
+    let gate_in = DET_FEAT_DIM + HIDDEN;
+    for (label, shape) in [
+        (
+            "track-score",
+            (16, DET_FEAT_DIM + PAIR_FEAT_DIM, HEAD_HIDDEN),
+        ),
+        ("track-gates", (16, gate_in, 2 * HIDDEN)),
+        ("track-cand", (16, gate_in, HIDDEN)),
+        ("track-head", (16, HIDDEN, HEAD_HIDDEN)),
+    ] {
+        matmul_shapes.push((label.into(), shape));
+    }
     let matmul: Vec<MatmulBench> = matmul_shapes
         .into_iter()
-        .map(|(m, k, n)| bench_matmul(m, k, n, reps))
+        .map(|(label, shape)| bench_matmul(&label, shape, reps))
         .collect();
 
     // The naive/GEMM crossover behind `GEMM_MIN_MACS`: the proxy's 1×1
@@ -961,18 +1073,10 @@ fn main() {
     } else {
         ((48usize, 32usize), (128u32, 96u32), 30usize)
     };
-    let mut batched_vs_looped: Vec<BatchedBench> = Vec::new();
-    for &batch in &[1usize, 2, 4, 8, 16] {
-        batched_vs_looped.push(bench_proxy_batched(
-            proxy_window.0,
-            proxy_window.1,
-            batch,
-            batched_reps,
-        ));
-    }
-    for &batch in &[1usize, 2, 4, 8, 16] {
-        batched_vs_looped.push(bench_windownet_batched(yolo_window, batch, batched_reps));
-    }
+    let batches = [1usize, 2, 4, 8, 16];
+    let mut batched_vs_looped =
+        bench_proxy_batched(proxy_window.0, proxy_window.1, &batches, batched_reps);
+    batched_vs_looped.extend(bench_windownet_batched(yolo_window, &batches, batched_reps));
 
     // Renderer: Warsaw's full frame at its 0.375 proxy input (the
     // ingest-proxy scoring shape) and two detector-window crops at
@@ -1058,61 +1162,75 @@ fn main() {
             format!("{:.2}x", proxy.speedup_gemm_over_naive),
         ]],
     );
+    // One column per vector tier this CPU runs, `-` where a row lacks it.
+    let tier_names: Vec<&str> = vector_tiers().into_iter().map(KernelTier::name).collect();
+    let tier_cells = |tiers: &[TierTime]| -> Vec<String> {
+        let mut cells: Vec<String> = tier_names
+            .iter()
+            .map(|name| {
+                tiers
+                    .iter()
+                    .find(|t| t.tier == *name)
+                    .map_or("-".into(), |t| format!("{:.2}", t.us))
+            })
+            .collect();
+        cells.push(
+            tiers
+                .first()
+                .map_or("-".into(), |t| format!("{:.2}x", t.speedup_over_portable)),
+        );
+        cells
+    };
+    let tier_headers: Vec<String> = tier_names.iter().map(|n| format!("{n} us")).collect();
     let conv_rows = |benches: &[ConvBench]| -> Vec<Vec<String>> {
         benches
             .iter()
             .map(|b| {
-                vec![
+                let mut row = vec![
                     b.layer.clone(),
                     format!("{}x{}", b.in_w, b.in_h),
                     b.macs.to_string(),
                     format!("{:.2}", b.naive_us),
                     format!("{:.2}", b.portable_us),
-                    format!("{:.2}", b.dispatched_us),
-                    format!("{:.2}x", b.speedup_dispatched_over_portable),
-                    b.auto_path.clone(),
-                ]
+                ];
+                row.extend(tier_cells(&b.tiers));
+                row.push(b.auto_path.clone());
+                row
             })
             .collect()
     };
-    let conv_headers = [
-        "layer",
-        "input",
-        "MACs",
-        "naive us",
-        "portable us",
-        "dispatched us",
-        "speedup",
-        "auto",
-    ];
+    let mut conv_headers = vec!["layer", "input", "MACs", "naive us", "portable us"];
+    conv_headers.extend(tier_headers.iter().map(String::as_str));
+    conv_headers.extend(["speedup", "auto"]);
     print_table(
-        "Proxy layers — portable vs dispatched convolution (wall clock, bit-identical)",
+        "Proxy layers — portable vs each kernel tier's convolution (wall clock, bit-identical)",
         &conv_headers,
         &conv_rows(&proxy_layers),
+    );
+    println!(
+        "conv2d_gemm dispatches to the {} kernel tier on this CPU",
+        KernelTier::detect().name()
     );
     let rows: Vec<Vec<String>> = matmul
         .iter()
         .map(|b| {
-            vec![
+            let mut row = vec![
+                b.label.clone(),
                 format!("{}x{}x{}", b.m, b.k, b.n),
                 b.reps.to_string(),
                 format!("{:.2}", b.naive_us),
                 format!("{:.2}", b.portable_us),
-                format!("{:.2}", b.dispatched_us),
-                format!("{:.2}x", b.speedup_dispatched_over_portable),
-            ]
+            ];
+            row.extend(tier_cells(&b.tiers));
+            row
         })
         .collect();
+    let mut matmul_headers = vec!["shape", "m x k x n", "reps", "naive us", "portable us"];
+    matmul_headers.extend(tier_headers.iter().map(String::as_str));
+    matmul_headers.push("speedup");
     print_table(
-        "GEMM — naive vs portable vs dispatched (wall clock, bit-identical)",
-        &[
-            "m x k x n",
-            "reps",
-            "naive us",
-            "portable us",
-            "dispatched us",
-            "speedup",
-        ],
+        "GEMM — naive vs portable vs each kernel tier (wall clock, bit-identical)",
+        &matmul_headers,
         &rows,
     );
     print_table(
@@ -1134,7 +1252,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Batched vs looped forward — per-window wall clock",
+        "Batched vs looped forward — per-window wall clock, one looped baseline per sweep",
         &[
             "shape",
             "input",

@@ -141,23 +141,24 @@ impl WindowNet {
     }
 
     /// Looped forward of one window input (Auto kernel path), into a
-    /// caller-owned tensor; scratch-pooled intermediates.
+    /// caller-owned tensor; scratch-pooled intermediates. The first layer
+    /// reads `x` in place.
     pub fn forward_into(&self, x: &Tensor3, out: &mut Tensor3) {
         let mut a = Tensor3 {
-            c: x.c,
-            h: x.h,
-            w: x.w,
+            c: 0,
+            h: 0,
+            w: 0,
             data: kernels::take_buf(0),
         };
-        a.data.clear();
-        a.data.extend_from_slice(&x.data);
         let mut b = Tensor3 {
             c: 0,
             h: 0,
             w: 0,
             data: kernels::take_buf(0),
         };
-        for l in &self.layers {
+        let (first, rest) = self.layers.split_first().expect("an encoder layer");
+        first.infer_path_into(x, &mut a, KernelPath::Auto);
+        for l in rest {
             l.infer_path_into(&a, &mut b, KernelPath::Auto);
             std::mem::swap(&mut a, &mut b);
         }
@@ -173,9 +174,13 @@ impl WindowNet {
     /// accumulate per element in exactly the per-item order, and every
     /// kernel path is bit-identical, so the batched `Auto` dispatcher
     /// (which weighs the *stacked* problem size) cannot perturb bits.
+    /// The first layer reads each input in place.
     pub fn forward_batched(&self, xs: &[&Tensor3]) -> Vec<Tensor3> {
-        if xs.is_empty() {
+        let Some(x0) = xs.first() else {
             return Vec::new();
+        };
+        for x in xs {
+            assert_eq!((x.c, x.h, x.w), (x0.c, x0.h, x0.w), "window input shapes");
         }
         let mut a = BatchTensor3 {
             n: 0,
@@ -184,8 +189,6 @@ impl WindowNet {
             w: 0,
             data: kernels::take_buf(0),
         };
-        a.reset(xs.len(), xs[0].c, xs[0].h, xs[0].w);
-        a.gather(xs);
         let mut b = BatchTensor3 {
             n: 0,
             c: 0,
@@ -193,7 +196,10 @@ impl WindowNet {
             w: 0,
             data: kernels::take_buf(0),
         };
-        for l in &self.layers {
+        let item = |i: usize| xs[i].data.as_slice();
+        let (first, rest) = self.layers.split_first().expect("an encoder layer");
+        first.infer_items_into(&item, xs.len(), (x0.h, x0.w), &mut a, KernelPath::Auto);
+        for l in rest {
             l.infer_batched_path_into(&a, &mut b, KernelPath::Auto);
             std::mem::swap(&mut a, &mut b);
         }

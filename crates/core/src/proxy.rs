@@ -171,20 +171,21 @@ impl SegProxyModel {
     pub fn infer_logits_into(&self, img: &GrayImage, path: KernelPath, out: &mut Tensor3) {
         debug_assert_eq!((img.w, img.h), (self.in_w, self.in_h));
         let mut a = Tensor3 {
-            c: 1,
-            h: self.in_h,
-            w: self.in_w,
+            c: 0,
+            h: 0,
+            w: 0,
             data: kernels::take_buf(0),
         };
-        a.data.clear();
-        a.data.extend_from_slice(&img.data);
         let mut b = Tensor3 {
             c: 0,
             h: 0,
             w: 0,
             data: kernels::take_buf(0),
         };
-        for l in self.encoder.iter().chain(self.decoder.iter()) {
+        // the first layer reads the image's pixels in place
+        let (first, rest) = self.encoder.split_first().expect("an encoder layer");
+        first.infer_data_into(&img.data, (self.in_h, self.in_w), &mut a, path);
+        for l in rest.iter().chain(self.decoder.iter()) {
             l.infer_path_into(&a, &mut b, path);
             std::mem::swap(&mut a, &mut b);
         }
@@ -199,7 +200,8 @@ impl SegProxyModel {
     /// the whole stack (one im2col, one cache-blocked GEMM with the
     /// batch folded into the column dimension — see
     /// [`otif_nn::kernels::conv2d_gemm_batched`]), so the weights stream
-    /// through cache once per batch instead of once per frame.
+    /// through cache once per batch instead of once per frame. The first
+    /// layer reads each frame's pixels in place.
     /// Bit-identical to looping [`Self::infer_logits_into`] over the
     /// frames; activations ping-pong between two scratch-pooled batch
     /// tensors, zero heap allocations after warm-up.
@@ -214,28 +216,27 @@ impl SegProxyModel {
             out.reset(0, 1, 0, 0);
             return;
         }
-        let plane = self.in_h * self.in_w;
-        let mut a = BatchTensor3 {
-            n,
-            c: 1,
-            h: self.in_h,
-            w: self.in_w,
-            data: kernels::take_buf(0),
-        };
-        a.data.clear();
         for img in imgs {
             debug_assert_eq!((img.w, img.h), (self.in_w, self.in_h));
-            debug_assert_eq!(img.data.len(), plane);
-            a.data.extend_from_slice(&img.data);
         }
-        let mut b = BatchTensor3 {
-            n,
+        let mut a = BatchTensor3 {
+            n: 0,
             c: 0,
             h: 0,
             w: 0,
             data: kernels::take_buf(0),
         };
-        for l in self.encoder.iter().chain(self.decoder.iter()) {
+        let mut b = BatchTensor3 {
+            n: 0,
+            c: 0,
+            h: 0,
+            w: 0,
+            data: kernels::take_buf(0),
+        };
+        let item = |i: usize| imgs[i].data.as_slice();
+        let (first, rest) = self.encoder.split_first().expect("an encoder layer");
+        first.infer_items_into(&item, n, (self.in_h, self.in_w), &mut a, path);
+        for l in rest.iter().chain(self.decoder.iter()) {
             l.infer_batched_path_into(&a, &mut b, path);
             std::mem::swap(&mut a, &mut b);
         }

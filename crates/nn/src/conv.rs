@@ -92,10 +92,30 @@ impl Conv2d {
 
     fn conv_forward_into(&self, x: &Tensor3, out: &mut Tensor3, path: KernelPath) {
         assert_eq!(x.c, self.in_ch);
-        let (oh, ow) = self.out_size(x.h, x.w);
+        self.infer_data_into(&x.data, (x.h, x.w), out, path);
+    }
+
+    /// [`Self::infer_path_into`] on an input given as its `in_ch × h × w`
+    /// values (see [`kernels::conv2d_data`]).
+    pub fn infer_data_into(
+        &self,
+        x: &[f32],
+        (h, w): (usize, usize),
+        out: &mut Tensor3,
+        path: KernelPath,
+    ) {
+        let (oh, ow) = self.out_size(h, w);
         // Every kernel path overwrites the whole output.
         out.reset_unzeroed(self.out_ch, oh, ow);
-        kernels::conv2d(&self.shape(), &self.weight.w, &self.bias.w, x, out, path);
+        kernels::conv2d_data(
+            &self.shape(),
+            &self.weight.w,
+            &self.bias.w,
+            x,
+            (h, w),
+            out,
+            path,
+        );
         let act = self.act;
         out.map_inplace(|v| act.apply(v));
     }
@@ -157,6 +177,34 @@ impl Conv2d {
         let (oh, ow) = self.out_size(x.h, x.w);
         out.reset_unzeroed(x.n, self.out_ch, oh, ow);
         kernels::conv2d_batched(&self.shape(), &self.weight.w, &self.bias.w, x, out, path);
+        let act = self.act;
+        out.data.iter_mut().for_each(|v| *v = act.apply(*v));
+    }
+
+    /// [`Self::infer_batched_path_into`] over `n` inputs given as item
+    /// `i`'s `in_ch × h × w` values, `item(i)` (see
+    /// [`kernels::conv2d_items`]).
+    pub fn infer_items_into<'a>(
+        &self,
+        item: &'a dyn Fn(usize) -> &'a [f32],
+        n: usize,
+        (h, w): (usize, usize),
+        out: &mut BatchTensor3,
+        path: KernelPath,
+    ) {
+        let (oh, ow) = self.out_size(h, w);
+        out.reset_unzeroed(n, self.out_ch, oh, ow);
+        let shape = self.shape();
+        kernels::conv2d_items(
+            &shape,
+            &self.weight.w,
+            &self.bias.w,
+            item,
+            n,
+            (h, w),
+            out,
+            path,
+        );
         let act = self.act;
         out.data.iter_mut().for_each(|v| *v = act.apply(*v));
     }
@@ -278,8 +326,8 @@ mod tests {
         // The output is resized without a zero pass, so every path must
         // write every element: a NaN left behind would show in the bits.
         // Shapes cover the naive loops, im2col + GEMM, the 1×1 layer that
-        // skips im2col, and the AVX2 stride-2 kernels (three- and
-        // two-group direct tiles, and the gather table for narrow rows).
+        // skips im2col, and the dispatched tier's stride-2 kernels (direct
+        // tiles, and the gather table for narrow rows).
         let shapes = [
             (1, 3, 3, 2, 1, 24, 40),
             (3, 8, 3, 2, 1, 24, 40),

@@ -171,25 +171,10 @@ impl BatchTensor3 {
         assert!(!items.is_empty(), "cannot batch zero items");
         let (c, h, w) = (items[0].c, items[0].h, items[0].w);
         let mut b = BatchTensor3::zeros(items.len(), c, h, w);
-        b.gather(items);
-        b
-    }
-
-    /// Copy `items` into this batch; shapes must match exactly.
-    pub fn gather(&mut self, items: &[&Tensor3]) {
-        assert_eq!(items.len(), self.n, "batch size mismatch");
-        let plane = self.h * self.w;
         for (i, t) in items.iter().enumerate() {
-            assert_eq!(
-                (t.c, t.h, t.w),
-                (self.c, self.h, self.w),
-                "batched items must share one shape"
-            );
-            for c in 0..self.c {
-                let dst = (c * self.n + i) * plane;
-                self.data[dst..dst + plane].copy_from_slice(&t.data[c * plane..(c + 1) * plane]);
-            }
+            b.set_item(i, t);
         }
+        b
     }
 
     /// Copy item `i` out into `t` (reshaped to fit).

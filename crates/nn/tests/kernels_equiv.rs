@@ -1,8 +1,10 @@
 //! Property-based equivalence suite for the fast kernel layer.
 //!
-//! GEMM paths must agree **bit for bit**: the dispatched kernels (AVX2
-//! where the CPU has it), the portable oracles and `matmul_naive` all
-//! add each output's terms in the same order. The GEMM convolution is
+//! GEMM paths must agree **bit for bit**: every kernel tier
+//! (`KernelTier`: AVX-512, AVX2, portable), the dispatched kernels and
+//! `matmul_naive` all add each output's terms in the same order. The
+//! per-tier tests run each tier this CPU supports against the portable
+//! oracle, and print a note to stderr for each tier it lacks. The GEMM convolution is
 //! compared with the naive loops under `==` instead: the naive loop
 //! skips padding taps while the GEMM adds `w·0.0`, so the two may differ
 //! in the sign of a zero, which `==` ignores.
@@ -12,12 +14,15 @@
 //! seed and fills the arrays with a deterministic LCG.
 
 use otif_nn::kernels::{
-    conv2d, conv2d_batched, conv2d_gemm, conv2d_gemm_batched, conv2d_gemm_portable, conv2d_naive,
-    matmul_batched, matmul_blocked, matmul_naive, matmul_portable, ConvShape, KernelPath,
+    conv2d, conv2d_batched, conv2d_gemm, conv2d_gemm_batched, conv2d_gemm_batched_on,
+    conv2d_gemm_portable, conv2d_items, conv2d_naive, matmul_batched, matmul_blocked, matmul_naive,
+    matmul_on, matmul_portable, ConvShape, KernelPath, KernelTier,
 };
 use otif_nn::{BatchTensor3, Tensor3};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::io::Write;
+use std::sync::Once;
 
 fn lcg_fill(seed: u64, buf: &mut [f32]) {
     let mut s = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -122,6 +127,261 @@ fn check_conv(
     Ok(())
 }
 
+/// Whether this CPU runs `tier`. If not, says so once per tier on the
+/// process's stderr (the harness hides `eprintln!` of passing tests), so
+/// a host without a vector tier does not pass silently.
+fn host_runs(tier: KernelTier) -> bool {
+    static NOTED: [Once; 3] = [const { Once::new() }; 3];
+    let runs = tier.supported();
+    if !runs {
+        NOTED[tier as usize].call_once(|| {
+            let note = format!(
+                "note: this CPU lacks the {} kernel tier; not tested\n",
+                tier.name()
+            );
+            let _ = std::io::stderr().write_all(note.as_bytes());
+        });
+    }
+    runs
+}
+
+/// The vector tiers this CPU runs.
+fn vector_tiers() -> impl Iterator<Item = KernelTier> {
+    KernelTier::ALL
+        .into_iter()
+        .filter(|&t| t != KernelTier::Portable && host_runs(t))
+}
+
+/// The matmul on every vector tier this CPU runs against the portable
+/// kernel, bitwise, on a C seeded with `c0`.
+fn check_matmul_tiers(
+    (m, k, n): (usize, usize, usize),
+    c0: f32,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut a = vec![0.0; m * k];
+    let mut b = vec![0.0; k * n];
+    lcg_fill(seed, &mut a);
+    lcg_fill(seed ^ 0x1234_5678, &mut b);
+    let mut want = vec![c0; m * n];
+    matmul_portable(&a, &b, &mut want, m, k, n);
+    for tier in vector_tiers() {
+        let mut got = vec![c0; m * n];
+        matmul_on(tier, &a, &b, &mut got, m, k, n);
+        prop_assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{} matmul vs portable at {}x{}x{}",
+            tier.name(),
+            m,
+            k,
+            n
+        );
+    }
+    Ok(())
+}
+
+/// `items` random inputs convolved on every vector tier this CPU runs,
+/// stacked and (at `items > 1`) through the per-item input, against the
+/// portable kernels, bitwise.
+fn check_conv_tiers(
+    shape: ConvShape,
+    (h, w): (usize, usize),
+    items: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut weight = vec![0.0; shape.out_ch * shape.in_ch * shape.ksize * shape.ksize];
+    let mut bias = vec![0.0; shape.out_ch];
+    lcg_fill(seed ^ 0xdead_beef, &mut weight);
+    lcg_fill(seed ^ 0x5eed_cafe, &mut bias);
+    let xs: Vec<Tensor3> = (0..items)
+        .map(|i| {
+            let mut x = Tensor3::zeros(shape.in_ch, h, w);
+            lcg_fill(seed.wrapping_add(i as u64), &mut x.data);
+            x
+        })
+        .collect();
+    let refs: Vec<&Tensor3> = xs.iter().collect();
+    let x = BatchTensor3::from_items(&refs);
+    let (oh, ow) = shape.out_size(h, w);
+    let mut want = BatchTensor3::zeros(items, shape.out_ch, oh, ow);
+    conv2d_gemm_batched_on(KernelTier::Portable, &shape, &weight, &bias, &x, &mut want);
+    let at = format!("{shape:?} input {h}x{w} (output {oh}x{ow}), {items} items");
+    for tier in vector_tiers() {
+        let mut got = BatchTensor3::zeros(items, shape.out_ch, oh, ow);
+        conv2d_gemm_batched_on(tier, &shape, &weight, &bias, &x, &mut got);
+        prop_assert_eq!(
+            bits(&got.data),
+            bits(&want.data),
+            "{} conv vs portable at {}",
+            tier.name(),
+            at
+        );
+    }
+    // the per-item input (on the dispatched tier) stages the same values
+    let item = |i: usize| xs[i].data.as_slice();
+    let mut got = BatchTensor3::zeros(items, shape.out_ch, oh, ow);
+    conv2d_items(
+        &shape,
+        &weight,
+        &bias,
+        &item,
+        items,
+        (h, w),
+        &mut got,
+        KernelPath::Gemm,
+    );
+    prop_assert_eq!(
+        bits(&got.data),
+        bits(&want.data),
+        "per-item input vs portable at {}",
+        at
+    );
+    Ok(())
+}
+
+/// The input width at which a `k`-wide stride-2 kernel with padding
+/// `pad` makes output rows of `ow` (`extra` adds the column a stride-2
+/// layer drops).
+fn stride2_input(ow: usize, k: usize, pad: usize, extra: usize) -> usize {
+    (2 * (ow - 1) + k + extra)
+        .saturating_sub(2 * pad)
+        .max(k.saturating_sub(2 * pad))
+        .max(1)
+}
+
+proptest! {
+    // Every vector tier's stride-2 kernels: direct lane groups on rows
+    // of 4 or more (two half-groups per row on wide rows, two rows per
+    // group on narrow ones, across item boundaries) and gathers below
+    // 4, at every channel count the models use and then some.
+    #[test]
+    fn stride2_conv_tiers_match_portable(
+        chans in ((1usize..9), (1usize..10)),
+        out in ((1usize..41), (1usize..7)),
+        geom in ((1usize..4), (0usize..2), (0usize..2)),
+        items in 1usize..17,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (in_ch, out_ch) = chans;
+        let (ow, oh) = out;
+        let (ksize, pad, extra) = geom;
+        let shape = ConvShape { in_ch, out_ch, ksize, stride: 2, pad };
+        let (h, w) = (stride2_input(oh, ksize, pad, extra), stride2_input(ow, ksize, pad, extra));
+        check_conv_tiers(shape, (h, w), items, seed)?;
+    }
+
+    // Other strides and 1×1 layers run im2col (or nothing) and each
+    // tier's GEMM.
+    #[test]
+    fn other_conv_tiers_match_portable(
+        chans in ((1usize..9), (1usize..10)),
+        geom in ((1usize..4), (1usize..4), (0usize..2)),
+        dims in ((1usize..21), (1usize..41)),
+        items in 1usize..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (in_ch, out_ch) = chans;
+        let (ksize, stride, pad) = geom;
+        let (h, w) = (dims.0.max(ksize), dims.1.max(ksize));
+        let shape = ConvShape { in_ch, out_ch, ksize, stride, pad };
+        check_conv_tiers(shape, (h, w), items, seed)?;
+    }
+
+    #[test]
+    fn matmul_tiers_match_portable(
+        m in 1usize..21,
+        k in 1usize..41,
+        n in 1usize..101,
+        c0 in -2.0f32..2.0,
+        seed in 0u64..u64::MAX,
+    ) {
+        check_matmul_tiers((m, k, n), c0, seed)?;
+    }
+}
+
+/// The output row widths where lane groups change shape on some tier:
+/// around the AVX2 half (4) and group (8) and the AVX-512 half (8) and
+/// group (16), at one and several items, unpadded and padded.
+#[test]
+fn conv_tiers_match_portable_at_named_row_widths() {
+    for ow in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40] {
+        for (in_ch, out_ch) in [(1, 3), (3, 6), (6, 8), (8, 9)] {
+            for items in [1, 3, 16] {
+                for pad in [0, 1] {
+                    let shape = ConvShape {
+                        in_ch,
+                        out_ch,
+                        ksize: 3,
+                        stride: 2,
+                        pad,
+                    };
+                    let (h, w) = (stride2_input(3, 3, pad, 1), stride2_input(ow, 3, pad, 1));
+                    let seed = (ow * 1000 + in_ch * 100 + items * 10 + pad) as u64;
+                    check_conv_tiers(shape, (h, w), items, seed).unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// Every edge of each tier's GEMM register tile: rows that split into
+/// uneven tiles of up to 6 (AVX2) or 8 (AVX-512), columns either side of
+/// the 8- and 16-lane vectors and the 16- and 32-column panels.
+#[test]
+fn matmul_tiers_match_portable_at_register_tile_edges() {
+    for m in 1..=17 {
+        for n in [1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 47, 48, 49, 64, 65] {
+            for k in [1, 2, 9] {
+                check_matmul_tiers((m, k, n), 0.25, (m * 1000 + n * 10 + k) as u64).unwrap();
+            }
+        }
+    }
+}
+
+/// The segmentation proxy's and `WindowNet`'s whole layer stacks (five
+/// 3×3 stride-2 encoder layers, then the 1×1 decoders), every layer on
+/// every tier: the proxy at `ingest-proxy`'s 224×128 scoring input and
+/// at full Warsaw size, and windows from the smallest surrogate input
+/// (8×8) to the largest (96×96), single and batched.
+#[test]
+fn model_layer_stacks_match_portable_on_every_tier() {
+    let encoder = [(1, 3), (3, 6), (6, 6), (6, 8), (8, 8)];
+    let decoder = [(8, 6), (6, 1)];
+    for ((w, h), items) in [
+        ((224, 128), 1),
+        ((640, 384), 1),
+        ((8, 8), 12),
+        ((32, 32), 12),
+        ((64, 48), 4),
+        ((96, 96), 2),
+        ((45, 37), 3),
+    ] {
+        let (mut h, mut w) = (h, w);
+        for (in_ch, out_ch) in encoder {
+            let shape = ConvShape {
+                in_ch,
+                out_ch,
+                ksize: 3,
+                stride: 2,
+                pad: 1,
+            };
+            check_conv_tiers(shape, (h, w), items, (h * w + in_ch) as u64).unwrap();
+            (h, w) = shape.out_size(h, w);
+        }
+        for (in_ch, out_ch) in decoder {
+            let shape = ConvShape {
+                in_ch,
+                out_ch,
+                ksize: 1,
+                stride: 1,
+                pad: 0,
+            };
+            check_conv_tiers(shape, (h, w), items, (h * w + in_ch) as u64).unwrap();
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn gemm_conv_matches_naive(
@@ -154,9 +414,9 @@ proptest! {
         prop_assert_eq!(&auto.data, &naive.data);
     }
 
-    // Stride 2 has its own AVX2 kernels: a direct convolution for output
-    // rows of 8 or more (lane groups pair across rows and items) and a
-    // gather-table im2col below that. Odd and even widths, every padding
+    // Stride 2 has its own vector kernels: a direct convolution for
+    // output rows of 4 or more (lane groups pair across rows and items)
+    // and a gather-table im2col below that. Odd and even widths, every padding
     // the proxy could use, and stacked items exercise both.
     #[test]
     fn stride2_conv_is_bitwise_across_paths(
@@ -315,9 +575,9 @@ proptest! {
     }
 }
 
-/// Every edge of the AVX2 register tile (up to 6 rows × 16 columns):
-/// row counts split into uneven tiles, column counts one either side of
-/// a vector or tile boundary, and `k = 1`.
+/// Every edge of the dispatched tier's register tile (up to 6 × 16 on
+/// AVX2, 8 × 32 on AVX-512): row counts split into uneven tiles, column
+/// counts one either side of a vector or tile boundary, and `k = 1`.
 #[test]
 fn matmul_register_tile_edges_are_bitwise() {
     for m in 1..=13 {

@@ -198,6 +198,45 @@ fn add_noise(tier: NoiseTier, data: &mut [f32], w: usize, frame_term: u64, two_a
     }
 }
 
+/// One background block row on `tier`: `blocks[x] = mix01(terms[r] +
+/// add)` with `r = run_of[x]`, each run's hash computed once into
+/// `hashes` (scratch of at least `terms.len() + 16` floats). `run_of`
+/// starts at run 0 and steps by 0 or 1 per column.
+///
+/// # Panics
+/// If this CPU does not run `tier`.
+fn block_row(
+    tier: NoiseTier,
+    (terms, add): (&[u64], u64),
+    run_of: &[u32],
+    hashes: &mut [f32],
+    blocks: &mut [f32],
+) {
+    assert!(
+        tier.supported(),
+        "this CPU does not run the {} noise tier",
+        tier.name()
+    );
+    assert_eq!(run_of.len(), blocks.len(), "one run per column");
+    assert!(hashes.len() >= terms.len() + 16, "hash scratch too short");
+    match tier {
+        // SAFETY: the assert above checked the tier's CPU features.
+        #[cfg(target_arch = "x86_64")]
+        NoiseTier::Avx512 => unsafe { x86::block_row_avx512(terms, add, run_of, hashes, blocks) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        NoiseTier::Avx2 => unsafe { x86::block_row_avx2(terms, add, run_of, hashes, blocks) },
+        _ => {
+            for (h, &z) in hashes.iter_mut().zip(terms) {
+                *h = mix01(z.wrapping_add(add));
+            }
+            for (b, &r) in blocks.iter_mut().zip(run_of) {
+                *b = hashes[r as usize];
+            }
+        }
+    }
+}
+
 /// The scalar noise kernel on one row whose first pixel hashes `z`.
 #[inline]
 fn noise_row_scalar(row: &mut [f32], mut z: u64, two_amp: f32) {
@@ -208,9 +247,10 @@ fn noise_row_scalar(row: &mut [f32], mut z: u64, two_amp: f32) {
     }
 }
 
-/// The vector noise kernels. Both hash eight pixels per step and finish
-/// them with the scalar kernel's `f32` operations in the same order, so
-/// every lane reproduces [`noise_row_scalar`] bit for bit:
+/// The vector noise and block-hash kernels. All hash eight values per
+/// step; the noise kernels finish them with the scalar kernel's `f32`
+/// operations in the same order, so every lane reproduces
+/// [`noise_row_scalar`] (and the hash kernels [`mix01`]) bit for bit:
 ///
 /// - wrapping `u64` arithmetic is exact in any lane, and the
 ///   finalizer's last xor-shift is skipped because it cannot reach the
@@ -224,7 +264,7 @@ fn noise_row_scalar(row: &mut [f32], mut z: u64, two_amp: f32) {
 ///   through as under `f32::clamp`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{noise_row_scalar, row_z, K1, K2, K3};
+    use super::{mix01, noise_row_scalar, row_z, K1, K2, K3};
     use std::arch::x86_64::*;
 
     /// `K1·i` for `i = 0..8`: the hash offsets of a step's pixels.
@@ -292,6 +332,100 @@ mod x86 {
                 let p = _mm256_maskz_loadu_ps(m, rest.as_ptr());
                 _mm256_mask_storeu_ps(rest.as_mut_ptr(), m, finish(p, mix8(z), two_amp));
             }
+        }
+    }
+
+    /// The AVX-512 tier of `block_row`: eight hashes per step, then
+    /// sixteen columns per step. Sixteen consecutive columns span at most
+    /// sixteen runs, so one `vpermps` of the sixteen hashes from the
+    /// first column's run on spreads them.
+    ///
+    /// # Safety
+    /// The CPU supports AVX-512 F, DQ and VL, and `hashes` holds at
+    /// least `terms.len() + 16` floats.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub(super) unsafe fn block_row_avx512(
+        terms: &[u64],
+        add: u64,
+        run_of: &[u32],
+        hashes: &mut [f32],
+        blocks: &mut [f32],
+    ) {
+        let add = _mm512_set1_epi64(add as i64);
+        for (z, h) in terms.chunks(8).zip(hashes.chunks_mut(8)) {
+            // lanes from `z.len()` on are masked off: never read or stored
+            let m = ((1u16 << z.len()) - 1) as u8;
+            let v = _mm512_add_epi64(_mm512_maskz_loadu_epi64(m, z.as_ptr().cast()), add);
+            _mm256_mask_storeu_ps(h.as_mut_ptr(), m, mix8(v));
+        }
+        for (r, b) in run_of.chunks(16).zip(blocks.chunks_mut(16)) {
+            let m = ((1u32 << r.len()) - 1) as u16;
+            let r0 = r[0] as usize;
+            // the permute reads only each index's low four bits, so the
+            // masked-off lanes' indices do not matter
+            let idx = _mm512_sub_epi32(
+                _mm512_maskz_loadu_epi32(m, r.as_ptr().cast()),
+                _mm512_set1_epi32(r0 as i32),
+            );
+            let h = &hashes[r0..][..16];
+            let v = _mm512_permutexvar_ps(idx, _mm512_loadu_ps(h.as_ptr()));
+            _mm512_mask_storeu_ps(b.as_mut_ptr(), m, v);
+        }
+    }
+
+    /// The AVX2 tier of `block_row`: each hash step hashes two vectors
+    /// of four and, as in `noise_avx2`, blends their 24 kept bits into
+    /// one vector, `[z0 z4 z1 z5 z2 z6 z3 z7]`, then puts it in order;
+    /// then one `vpermps` spreads eight columns, as in the AVX-512 tier.
+    /// Both tails run scalar.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2, and `hashes` holds at least `terms.len() +
+    /// 16` floats.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block_row_avx2(
+        terms: &[u64],
+        add: u64,
+        run_of: &[u32],
+        hashes: &mut [f32],
+        blocks: &mut [f32],
+    ) {
+        let add_v = _mm256_set1_epi64x(add as i64);
+        let scale = _mm256_set1_ps(1.0 / (1u64 << 24) as f32);
+        let order = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+        let mut zs = terms.chunks_exact(8);
+        let mut hs = hashes[..terms.len()].chunks_exact_mut(8);
+        for (z, h) in (&mut zs).zip(&mut hs) {
+            // `z` holds eight `u64`s: two unaligned vectors
+            let (lo, hi) = (
+                _mm256_add_epi64(_mm256_loadu_si256(z.as_ptr().cast()), add_v),
+                _mm256_add_epi64(_mm256_loadu_si256(z[4..].as_ptr().cast()), add_v),
+            );
+            let q = _mm256_blend_epi32::<0b1010_1010>(
+                _mm256_srli_epi64::<40>(mix4(lo)),
+                _mm256_srli_epi64::<8>(mix4(hi)),
+            );
+            let q = _mm256_permutevar8x32_epi32(q, order);
+            _mm256_storeu_ps(h.as_mut_ptr(), _mm256_mul_ps(_mm256_cvtepi32_ps(q), scale));
+        }
+        for (h, &z) in hs.into_remainder().iter_mut().zip(zs.remainder()) {
+            *h = mix01(z.wrapping_add(add));
+        }
+        let mut rs = run_of.chunks_exact(8);
+        let mut bs = blocks.chunks_exact_mut(8);
+        for (r, b) in (&mut rs).zip(&mut bs) {
+            let r0 = r[0] as usize;
+            // `r` holds eight `u32`s: one unaligned vector
+            let idx = _mm256_sub_epi32(
+                _mm256_loadu_si256(r.as_ptr().cast()),
+                _mm256_set1_epi32(r0 as i32),
+            );
+            let h = &hashes[r0..][..8];
+            let v = _mm256_permutevar8x32_ps(_mm256_loadu_ps(h.as_ptr()), idx);
+            _mm256_storeu_ps(b.as_mut_ptr(), v);
+        }
+        for (b, &r) in bs.into_remainder().iter_mut().zip(rs.remainder()) {
+            *b = hashes[r as usize];
         }
     }
 
@@ -422,12 +556,13 @@ impl<'a> Renderer<'a> {
     ///
     /// Bit-identical to [`Self::render_region_naive`] on every tier:
     /// each block hash is computed once per run of output columns
-    /// sharing a block and once per block row, the per-row and
-    /// per-column terms are hoisted, and the noise tiers keep the
-    /// per-pixel `f32` operations and their order (see `x86`).
+    /// sharing a block and once per block row (a block row's hashes in
+    /// one pass on `tier`), the per-row and per-column terms are hoisted,
+    /// and the noise tiers keep the per-pixel `f32` operations and their
+    /// order (see `x86`).
     ///
     /// # Panics
-    /// If the scene has sensor noise and this CPU does not run `tier`.
+    /// If this CPU does not run `tier`.
     #[allow(clippy::too_many_arguments)]
     pub fn render_region_on(
         &self,
@@ -448,15 +583,20 @@ impl<'a> Renderer<'a> {
 
         // Runs of output columns in one block column: `(block, length)`,
         // the same for every row.
-        let mut runs: Vec<(u64, usize)> = Vec::new();
-        for x in 0..w {
-            let bx = block_of(rx + x as f32 * sx + cam.0);
-            match runs.last_mut() {
-                Some((b, len)) if *b == bx => *len += 1,
-                _ => runs.push((bx, 1)),
-            }
-        }
+        // Runs of output columns in one block column, the same for every
+        // row: each run's hash term `bx·K1`, and each column's run.
+        let mut terms: Vec<u64> = Vec::new();
+        let run_of: Vec<u32> = (0..w)
+            .map(|x| {
+                let term = block_of(rx + x as f32 * sx + cam.0).wrapping_mul(K1);
+                if terms.last() != Some(&term) {
+                    terms.push(term);
+                }
+                (terms.len() - 1) as u32
+            })
+            .collect();
         let seed_term = bg_seed.wrapping_mul(K3);
+        let mut hashes = vec![0.0f32; terms.len() + 16];
         let mut blocks = vec![0.0f32; w];
         let mut cached_block_row = None;
         // every pixel is written once here, so the image is never zeroed
@@ -466,11 +606,7 @@ impl<'a> Renderer<'a> {
             let by = block_of(ny);
             if cached_block_row != Some(by) {
                 let row_term = by.wrapping_mul(K2).wrapping_add(seed_term);
-                let mut x = 0;
-                for &(bx, len) in &runs {
-                    blocks[x..x + len].fill(mix01(bx.wrapping_mul(K1).wrapping_add(row_term)));
-                    x += len;
-                }
+                block_row(tier, (&terms, row_term), &run_of, &mut hashes, &mut blocks);
                 cached_block_row = Some(by);
             }
             let base = scene.background_level + 0.10 * (ny / scene.height as f32);

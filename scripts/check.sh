@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== kernel and renderer tier tests (optimised build)"
+# Every kernel-tier and noise-tier proptest again, in the optimised
+# build that the engine and the benches dispatch from.
+cargo test --release -q -p otif-nn -p otif-sim
+
 # The smokes below write their reports under the git-ignored target/;
 # none of them may touch the tracked results/ (checked at the end).
 results_state() { { git status --porcelain --untracked-files=all -- results/; git diff -- results/; } | cksum; }
