@@ -10,10 +10,10 @@
 //!   window before submitting its batcher ticket. This is the wall-clock
 //!   baseline: same work, one kernel invocation per window.
 //! - [`DetectorExec::Batched`] — window input tensors ride on the
-//!   batcher ticket, streams rendezvous per round, and the flushing
-//!   thread runs **one** batched forward per (size, chunk) of the round
-//!   and scatters the outputs back to the submitting streams. This is
-//!   the only mode in which a stream parks on the batcher.
+//!   batcher ticket, and the submit or finish that forms a round runs
+//!   **one** batched forward per (size, chunk) of the round and
+//!   scatters the outputs back to the submitting streams. This is the
+//!   only mode in which a stream parks on the batcher.
 //!
 //! Both executing modes run bitwise-identical arithmetic per window
 //! (the batched kernels accumulate in exactly the looped order — see

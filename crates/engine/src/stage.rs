@@ -38,10 +38,10 @@ pub(crate) enum GhostMode {
     Live,
     /// The clip completed in-stream in a previous (crashed) run and was
     /// checkpointed: its ledger, timeline and result are pre-loaded by
-    /// the scheduler, and the stream task only *streams* it —
-    /// submitting its recorded batcher tickets so the
-    /// cross-stream round sequence (and every sibling's accounting)
-    /// reproduces bitwise — without recomputing or re-charging anything.
+    /// the scheduler, and the stream task splices its recorded batcher
+    /// tickets in one call — so the cross-stream round sequence (and
+    /// every sibling's accounting) reproduces bitwise — without walking,
+    /// recomputing or re-charging anything.
     Stream,
     /// The clip completed via the sequential retry path in a previous
     /// run: it is not streamed at all; the scheduler replays its
@@ -79,7 +79,7 @@ pub(crate) struct StageCtx<'a> {
     /// Run-journal checkpoint sink; `None` for unjournaled runs.
     pub checkpoint: Option<&'a Checkpointer>,
     /// Stage watchdog: how long one stage step may run, or the task
-    /// stay parked on the batcher rendezvous, before the wedge becomes
+    /// stay parked on its batcher ticket, before the wedge becomes
     /// a typed, recoverable stall failure and the stream retires.
     pub stage_timeout: Option<Duration>,
 }
