@@ -18,6 +18,10 @@
 //! - the naive/GEMM crossover that `GEMM_MIN_MACS` is read from: the
 //!   1×1 decoder layers, the late encoder layers and small-window
 //!   layers;
+//! - a proxy training step's backward pass, layer by layer: the scalar
+//!   scatter loop (`Conv2d::backward_reference`) vs each kernel tier,
+//!   portable included; the first layer skips `dL/dx` on the tiers, as
+//!   training does;
 //! - batched vs looped forwards (one looped per-window baseline, timed
 //!   interleaved with every batch size), and the renderer;
 //! - recurrent-tracker inference, looped (`TrackerModel`, one pair or
@@ -30,7 +34,8 @@
 //!   that checks every taken frame.
 //!
 //! Every pair of paths is checked before timing, on every run: GEMM
-//! paths, renderers and tracker paths must agree bit for bit, GEMM and
+//! paths, backward passes, renderers and tracker paths must agree bit
+//! for bit, GEMM and
 //! naive convolutions under `==` (they may differ in the sign of a
 //! zero), query paths in their answers. So a speedup never comes at the
 //! cost of divergent results.
@@ -51,7 +56,7 @@ use otif_nn::kernels::{
     conv2d_gemm_on, conv2d_gemm_portable, conv2d_naive, conv_path_for, matmul_naive, matmul_on,
     matmul_portable, ConvShape, KernelTier,
 };
-use otif_nn::{BatchTensor3, KernelPath, Tensor3};
+use otif_nn::{Activation, BatchTensor3, Conv2d, KernelPath, Tensor3, XavierInit};
 use otif_query::{is_car, ClipMatches, FrameLimitQuery, FrameQueryKind, FrameRef, FrameTable};
 use otif_sim::{Clip, DatasetKind, GrayImage, NoiseTier, ObjectClass, Renderer};
 use otif_track::recurrent::{DET_FEAT_DIM, HEAD_HIDDEN, HIDDEN, PAIR_FEAT_DIM};
@@ -95,6 +100,30 @@ struct ConvBench {
     tiers: Vec<TierTime>,
     /// The path `KernelPath::Auto` resolves to at this shape.
     auto_path: String,
+}
+
+/// One kernel tier's backward pass on a layer.
+#[derive(Serialize)]
+struct BackwardTier {
+    /// `KernelTier::name`.
+    tier: String,
+    us: f64,
+    speedup_over_scatter: f64,
+}
+
+/// One proxy layer's backward pass (or, as `step`, their sum): the
+/// scalar scatter loop vs every kernel tier this CPU runs.
+#[derive(Serialize)]
+struct BackwardBench {
+    layer: String,
+    in_w: usize,
+    in_h: usize,
+    /// Whether the tiers compute `dL/dx` (the scatter loop always does).
+    input_grad: bool,
+    reps: usize,
+    scatter_us: f64,
+    /// Every tier this CPU runs, fastest first, portable last.
+    tiers: Vec<BackwardTier>,
 }
 
 /// One GEMM shape, naive vs portable vs each vector tier.
@@ -187,6 +216,7 @@ struct KernelsReport {
     mode: String,
     proxy: ProxyBench,
     proxy_layers: Vec<ConvBench>,
+    proxy_backward: Vec<BackwardBench>,
     matmul: Vec<MatmulBench>,
     crossover: Vec<ConvBench>,
     batched_vs_looped: Vec<BatchedBench>,
@@ -385,6 +415,102 @@ fn bench_conv(layer: &str, shape: ConvShape, h: usize, w: usize, reps: usize) ->
         portable_us: portable_s * 1e6,
         tiers,
         auto_path: format!("{:?}", conv_path_for(&shape, h, w, KernelPath::Auto)),
+    }
+}
+
+/// One proxy layer's backward pass after a forward on a deterministic
+/// input: every tier this CPU runs is bit-gated against the scatter loop
+/// (kernel, bias and, when computed, input gradients), then all are
+/// timed in one rotation.
+fn bench_backward(
+    layer: &str,
+    shape: ConvShape,
+    (h, w): (usize, usize),
+    input_grad: bool,
+    reps: usize,
+) -> BackwardBench {
+    let act = if shape.out_ch == 1 {
+        Activation::Linear
+    } else {
+        Activation::LeakyRelu
+    };
+    let ConvShape {
+        in_ch,
+        out_ch,
+        ksize,
+        stride,
+        pad,
+    } = shape;
+    let mut conv = Conv2d::new(
+        in_ch,
+        out_ch,
+        ksize,
+        stride,
+        pad,
+        act,
+        &mut XavierInit::new(7),
+    );
+    conv.bias.w = fill(out_ch, 3);
+    let y = conv.forward(&Tensor3::from_vec(in_ch, h, w, fill(in_ch * h * w, 1)));
+    let gy = Tensor3::from_vec(y.c, y.h, y.w, fill(y.len(), 4));
+    let tiers: Vec<KernelTier> = KernelTier::ALL
+        .into_iter()
+        .filter(|t| t.supported())
+        .collect();
+    let mut want = conv.clone();
+    let want_dx = want.backward_reference(&gy);
+    for &tier in &tiers {
+        let mut got = conv.clone();
+        let mut dx = Tensor3::zeros(in_ch, h, w);
+        got.backward_on(tier, &gy, input_grad.then_some(&mut dx));
+        let at = format!("{layer} {shape:?} {w}x{h}");
+        assert_eq!(
+            (bits(&got.weight.g), bits(&got.bias.g)),
+            (bits(&want.weight.g), bits(&want.bias.g)),
+            "{} backward diverged from the scatter loop at {at}",
+            tier.name()
+        );
+        if input_grad {
+            assert_eq!(
+                bits(&dx.data),
+                bits(&want_dx.data),
+                "{} input gradient diverged from the scatter loop at {at}",
+                tier.name()
+            );
+        }
+    }
+    let gy = black_box(&gy);
+    let mut scatter = conv.clone();
+    let mut fast: Vec<(Conv2d, Tensor3)> = tiers
+        .iter()
+        .map(|_| (conv.clone(), Tensor3::zeros(in_ch, h, w)))
+        .collect();
+    let mut fns: Vec<Box<dyn FnMut() + '_>> = vec![Box::new(|| {
+        black_box(scatter.backward_reference(gy));
+    })];
+    for ((l, dx), &tier) in fast.iter_mut().zip(&tiers) {
+        fns.push(Box::new(move || {
+            l.backward_on(tier, gy, input_grad.then_some(&mut *dx));
+        }));
+    }
+    let mut refs: Vec<&mut dyn FnMut()> = fns.iter_mut().map(|f| f.as_mut() as _).collect();
+    let t = time_rotating(reps, &mut refs);
+    BackwardBench {
+        layer: layer.to_string(),
+        in_w: w,
+        in_h: h,
+        input_grad,
+        reps,
+        scatter_us: t[0] * 1e6,
+        tiers: tiers
+            .iter()
+            .zip(&t[1..])
+            .map(|(tier, s)| BackwardTier {
+                tier: tier.name().to_string(),
+                us: s * 1e6,
+                speedup_over_scatter: t[0] / s,
+            })
+            .collect(),
     }
 }
 
@@ -994,6 +1120,31 @@ fn main() {
         .iter()
         .map(|(name, shape, h, w)| bench_conv(name, *shape, *h, *w, reps))
         .collect();
+    // A training step's backward pass, layer by layer, and summed.
+    let mut proxy_backward: Vec<BackwardBench> = layers
+        .iter()
+        .enumerate()
+        .map(|(i, (name, shape, h, w))| bench_backward(name, *shape, (*h, *w), i > 0, reps))
+        .collect();
+    proxy_backward.push(BackwardBench {
+        layer: "step".into(),
+        in_w: model.in_w,
+        in_h: model.in_h,
+        input_grad: true,
+        reps,
+        scatter_us: proxy_backward.iter().map(|b| b.scatter_us).sum(),
+        tiers: (0..proxy_backward[0].tiers.len())
+            .map(|t| {
+                let us: f64 = proxy_backward.iter().map(|b| b.tiers[t].us).sum();
+                let scatter: f64 = proxy_backward.iter().map(|b| b.scatter_us).sum();
+                BackwardTier {
+                    tier: proxy_backward[0].tiers[t].tier.clone(),
+                    us,
+                    speedup_over_scatter: scatter / us,
+                }
+            })
+            .collect(),
+    });
     // Each encoder layer's GEMM alone, `out_ch × in_ch·9 × oh·ow`, a
     // larger square for headroom, and the packed tracker's four GEMMs
     // (`PackedTracker`: pair scoring, the two GRU gates, the head
@@ -1211,6 +1362,40 @@ fn main() {
         "conv2d_gemm dispatches to the {} kernel tier on this CPU",
         KernelTier::detect().name()
     );
+    let backward_rows: Vec<Vec<String>> = proxy_backward
+        .iter()
+        .map(|b| {
+            let mut row = vec![
+                b.layer.clone(),
+                format!("{}x{}", b.in_w, b.in_h),
+                if b.input_grad { "yes" } else { "no" }.into(),
+                format!("{:.2}", b.scatter_us),
+            ];
+            for t in &b.tiers {
+                row.push(format!("{:.2}", t.us));
+                row.push(format!("{:.1}x", t.speedup_over_scatter));
+            }
+            row
+        })
+        .collect();
+    let mut backward_headers = vec![
+        "layer".to_string(),
+        "input".into(),
+        "dL/dx".into(),
+        "scatter us".into(),
+    ];
+    for t in &proxy_backward[0].tiers {
+        backward_headers.push(format!("{} us", t.tier));
+        backward_headers.push("speedup".into());
+    }
+    print_table(
+        "Proxy train-step backward — scatter loop vs each kernel tier (wall clock, bit-identical)",
+        &backward_headers
+            .iter()
+            .map(String::as_str)
+            .collect::<Vec<_>>(),
+        &backward_rows,
+    );
     let rows: Vec<Vec<String>> = matmul
         .iter()
         .map(|b| {
@@ -1377,6 +1562,7 @@ fn main() {
             mode: mode.to_string(),
             proxy,
             proxy_layers,
+            proxy_backward,
             matmul,
             crossover,
             batched_vs_looped,

@@ -156,6 +156,11 @@ impl SegProxyModel {
         (self.native_w / 32, self.native_h / 32)
     }
 
+    /// The encoder layers, then the decoder layers.
+    pub fn layers(&self) -> impl Iterator<Item = &Conv2d> {
+        self.encoder.iter().chain(&self.decoder)
+    }
+
     fn to_tensor(&self, img: &GrayImage) -> Tensor3 {
         debug_assert_eq!((img.w, img.h), (self.in_w, self.in_h));
         Tensor3::from_vec(1, self.in_h, self.in_w, img.data.clone())
@@ -312,9 +317,12 @@ impl SegProxyModel {
         for l in self.decoder.iter_mut().rev() {
             g = l.backward(&g);
         }
-        for l in self.encoder.iter_mut().rev() {
+        let (first, rest) = self.encoder.split_first_mut().expect("an encoder layer");
+        for l in rest.iter_mut().rev() {
             g = l.backward(&g);
         }
+        // the image needs no gradient
+        first.backward_params(&g);
         for l in self.encoder.iter_mut().chain(self.decoder.iter_mut()) {
             l.step(lr, OptimKind::Adam);
         }

@@ -36,9 +36,20 @@
 //! exact `w·0.0` for every padding tap that the naive loop skips, so
 //! the two agree under `==` but may differ in the sign of a zero; GEMM
 //! paths agree with one another bit for bit.
+//!
+//! **Backward.** [`conv2d_backward_on`] runs a convolution's backward pass
+//! on the same tiers, bit-identical to the scalar scatter loop
+//! (`Conv2d::backward_reference`) on every one: lanes hold output
+//! channels for the kernel and bias gradients and input columns of one
+//! stride residue for the input gradient, and every sum keeps the
+//! loop's order (see `backward`'s module docs for the `±0` argument).
 
 use crate::tensor::{BatchTensor3, Tensor3};
 use std::cell::RefCell;
+
+mod backward;
+
+pub use backward::{conv2d_backward_on, ConvGrads};
 
 /// A pool of reusable `f32` buffers.
 ///

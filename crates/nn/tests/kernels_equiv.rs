@@ -9,6 +9,10 @@
 //! skips padding taps while the GEMM adds `w·0.0`, so the two may differ
 //! in the sign of a zero, which `==` ignores.
 //!
+//! The convolution backward pass must agree bit for bit with the scalar
+//! scatter loop it replaced (`Conv2d::backward_reference`) on every
+//! tier, portable included: kernel, bias and input gradients alike.
+//!
 //! The vendored proptest has no `prop_flat_map`, so data arrays are not
 //! generated as strategies: each case draws dimensions plus a `u64`
 //! seed and fills the arrays with a deterministic LCG.
@@ -18,7 +22,7 @@ use otif_nn::kernels::{
     conv2d_gemm_portable, conv2d_items, conv2d_naive, matmul_batched, matmul_blocked, matmul_naive,
     matmul_on, matmul_portable, ConvShape, KernelPath, KernelTier,
 };
-use otif_nn::{BatchTensor3, Tensor3};
+use otif_nn::{Activation, BatchTensor3, Conv2d, Tensor3, XavierInit};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::io::Write;
@@ -616,5 +620,168 @@ fn model_layer_shapes_are_bitwise() {
             pad: 1,
         };
         check_conv(shape, (h, w), batch, (h * w) as u64).unwrap();
+    }
+}
+
+const ACTS: [Activation; 5] = [
+    Activation::LeakyRelu,
+    Activation::Linear,
+    Activation::Relu,
+    Activation::Tanh,
+    Activation::Sigmoid,
+];
+
+/// A `shape` layer with activation `act` after a forward pass on a
+/// random `h × w` input, holding prior gradients (`+0.0` or random), and
+/// an output gradient with `+0.0` and `−0.0` among its values: the
+/// backward pass on every tier this CPU runs must equal the scatter
+/// loop's kernel, bias and input gradients bitwise, and without the
+/// input gradient its kernel and bias gradients.
+fn check_backward_tiers(
+    shape: ConvShape,
+    act: Activation,
+    (h, w): (usize, usize),
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let ConvShape {
+        in_ch,
+        out_ch,
+        ksize,
+        stride,
+        pad,
+    } = shape;
+    let mut layer = Conv2d::new(
+        in_ch,
+        out_ch,
+        ksize,
+        stride,
+        pad,
+        act,
+        &mut XavierInit::new(seed),
+    );
+    // biases either side of zero, so LeakyReLU and ReLU outputs <= 0
+    // occur on every layer
+    lcg_fill(seed ^ 0x5eed_cafe, &mut layer.bias.w);
+    let mut x = Tensor3::zeros(in_ch, h, w);
+    lcg_fill(seed, &mut x.data);
+    let y = layer.forward(&x);
+    let mut noise = vec![0.0; y.len() + layer.weight.len() + out_ch];
+    lcg_fill(seed ^ 0x0bad_f00d, &mut noise);
+    let (gy_noise, prior) = noise.split_at(y.len());
+    let mut gy = Tensor3::zeros(y.c, y.h, y.w);
+    lcg_fill(seed ^ 0x1357_9bdf, &mut gy.data);
+    for (g, &r) in gy.data.iter_mut().zip(gy_noise) {
+        // a quarter +0.0, a quarter −0.0
+        if r < -0.25 {
+            *g = 0.0;
+        } else if r < 0.0 {
+            *g = -0.0;
+        }
+    }
+    if seed.is_multiple_of(2) {
+        let (pw, pb) = prior.split_at(layer.weight.len());
+        layer.weight.g.copy_from_slice(pw);
+        layer.bias.g.copy_from_slice(pb);
+    }
+    let mut want = layer.clone();
+    let want_dx = want.backward_reference(&gy);
+    let at = format!("{shape:?} {act:?} input {h}x{w}");
+    for tier in KernelTier::ALL.into_iter().filter(|&t| host_runs(t)) {
+        let mut got = layer.clone();
+        let mut dx = Tensor3::zeros(in_ch, h, w);
+        dx.data.fill(f32::NAN);
+        got.backward_on(tier, &gy, Some(&mut dx));
+        let mut params = layer.clone();
+        params.backward_on(tier, &gy, None);
+        for (l, what) in [(&got, "with"), (&params, "without")] {
+            prop_assert_eq!(
+                bits(&l.weight.g),
+                bits(&want.weight.g),
+                "{} kernel gradient ({} dL/dx) at {}",
+                tier.name(),
+                what,
+                at
+            );
+            prop_assert_eq!(
+                bits(&l.bias.g),
+                bits(&want.bias.g),
+                "{} bias gradient ({} dL/dx) at {}",
+                tier.name(),
+                what,
+                at
+            );
+        }
+        prop_assert_eq!(
+            bits(&dx.data),
+            bits(&want_dx.data),
+            "{} input gradient at {}",
+            tier.name(),
+            at
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    // The proxy's two layer kinds, 3×3 stride-2 pad-1 and 1×1, at odd,
+    // even and sub-3 input sizes.
+    #[test]
+    fn backward_tiers_match_scatter_loop(
+        chans in ((1usize..9), (1usize..10)),
+        dims in ((1usize..24), (1usize..40)),
+        one_by_one in 0usize..4,
+        act in 0usize..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (in_ch, out_ch) = chans;
+        let (ksize, stride, pad) = if one_by_one == 0 { (1, 1, 0) } else { (3, 2, 1) };
+        let shape = ConvShape { in_ch, out_ch, ksize, stride, pad };
+        check_backward_tiers(shape, ACTS[act], dims, seed)?;
+    }
+
+    // Every other geometry the layer allows.
+    #[test]
+    fn backward_tiers_match_scatter_loop_at_other_geometries(
+        chans in ((1usize..5), (1usize..18)),
+        geom in ((1usize..5), (1usize..4), (0usize..3)),
+        dims in ((1usize..16), (1usize..24)),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (in_ch, out_ch) = chans;
+        let (ksize, stride, pad) = geom;
+        let shape = ConvShape { in_ch, out_ch, ksize, stride, pad };
+        check_backward_tiers(shape, Activation::LeakyRelu, dims, seed)?;
+    }
+}
+
+/// The segmentation proxy's whole layer stack at `ingest-proxy`'s
+/// 224×128 input and at the smallest proxy input, on every tier.
+#[test]
+fn proxy_layer_stack_backward_matches_scatter_loop_on_every_tier() {
+    let encoder = [(1, 3), (3, 6), (6, 6), (6, 8), (8, 8)];
+    for (w, h) in [(224, 128), (32, 32)] {
+        let (mut h, mut w) = (h, w);
+        for (in_ch, out_ch) in encoder {
+            let shape = ConvShape {
+                in_ch,
+                out_ch,
+                ksize: 3,
+                stride: 2,
+                pad: 1,
+            };
+            let seed = (h * w + in_ch) as u64;
+            check_backward_tiers(shape, Activation::LeakyRelu, (h, w), seed).unwrap();
+            (h, w) = shape.out_size(h, w);
+        }
+        for (in_ch, out_ch, act) in [(8, 6, Activation::LeakyRelu), (6, 1, Activation::Linear)] {
+            let shape = ConvShape {
+                in_ch,
+                out_ch,
+                ksize: 1,
+                stride: 1,
+                pad: 0,
+            };
+            check_backward_tiers(shape, act, (h, w), (h * w + in_ch) as u64).unwrap();
+        }
     }
 }
